@@ -8,10 +8,14 @@ state; these tests pin down the invariants that make the trade safe:
 * every routed net forms a driver-rooted Steiner tree — connected,
   acyclic, containing the driver tile and every placed sink tile;
 * both kernels are bit-identical across two runs with the same seed;
+* the annealer's cold and ECO outputs match SHA-256 digests recorded
+  on the reference kernel (a refactor may not move a single byte);
 * the kernel-version salt changes the flow-cache stage keys, so cached
   artifacts from an older kernel can never be served.
 """
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -21,7 +25,9 @@ from repro.fabric import (
     Cell,
     Netlist,
     NXmapProject,
+    eco_place,
     place,
+    random_delta,
     route,
     scaled_device,
     synthesize_component,
@@ -210,6 +216,63 @@ class TestKernelDeterminism:
         first = place(netlist, device, seed=1, effort=0.5)
         second = place(netlist, device, seed=2, effort=0.5)
         assert first.locations != second.locations
+
+
+def _digest(payload):
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestAnnealerOutputsPinned:
+    """Byte-level pins on the annealer's outputs.
+
+    The digests were recorded on the ``PLACE_KERNEL_VERSION = 2`` kernel.
+    A change that alters any of them changes placement results and must
+    bump the kernel version (and re-record) rather than slip through:
+    the comparison tests above only check two runs against each other.
+    """
+
+    COLD = {
+        "plain": "f954f29d5d28986ba71a16b366cec618"
+                 "2383898d44924bb142102e5a64364cc6",
+        "macros": "376c24ef23c83e4cb1b834b35c13cc3c"
+                  "39f8aa440d19e4e2102969de67b44c5f",
+    }
+    ECO = {
+        0.001: "7faf2fc784eb7d2dee22f1e21367a184"
+               "ac729c0157ccf9eaf6dfdbbec183d9e8",
+        0.01: "684da083ba7abd6881bec9b53da76a5c"
+              "f0eea93e795ec3e62471ffa2faef7014",
+        0.05: "9f3114baa3954eabafaef8bd346c2afb"
+              "d82dc11fd7b379e64f5674224ad5e611",
+    }
+
+    @staticmethod
+    def _fixture(name):
+        # "macros" carries DSP/BRAM cells, whose moves take the
+        # free-list-only branch of the move loop.
+        if name == "macros":
+            return random_netlist(400, seed=5, with_macros=True), 3
+        return random_netlist(300, seed=11), 4
+
+    @pytest.mark.parametrize("name", sorted(COLD))
+    def test_cold_placement_bytes(self, name):
+        netlist, seed = self._fixture(name)
+        result = place(netlist, small_device(), seed=seed, effort=0.5)
+        assert _digest(result.to_json()) == self.COLD[name]
+
+    @pytest.mark.parametrize("fraction", sorted(ECO))
+    def test_eco_locations_and_stats(self, fraction):
+        netlist, seed = self._fixture("macros")
+        device = small_device()
+        base = place(netlist, device, seed=seed, effort=0.5)
+        edited, impact = random_delta(netlist, fraction, seed=3) \
+            .apply(netlist)
+        result = eco_place(edited, device, base,
+                           set(impact.changed_cells), seed=1)
+        payload = {"locations": result.to_json()["locations"],
+                   "stats": result.stats}
+        assert _digest(payload) == self.ECO[fraction]
 
 
 class TestKernelVersionCacheSalt:
