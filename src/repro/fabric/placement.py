@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..telemetry import Tracer
 from .device import Device, LUTS_PER_TILE
@@ -266,12 +266,13 @@ class _IncrementalHpwl:
 
     Moving one pin is O(1) unless it was the *only* pin at a bbox
     extreme and moved inward — then the net is rescanned (O(pins)) and
-    the fallback counted.  The tracked total equals ``total_hpwl``
-    recomputed from scratch at all times (property-tested).
+    the fallback counted.  ``total()`` equals ``total_hpwl`` over the
+    tracked nets, recomputed from scratch, at all times
+    (property-tested).
     """
 
     __slots__ = ("pins", "xs", "ys", "xmin", "xmax", "ymin", "ymax",
-                 "cxmin", "cxmax", "cymin", "cymax", "rescans", "cost")
+                 "cxmin", "cxmax", "cymin", "cymax", "rescans")
 
     def __init__(self, net_pins: List[List[int]],
                  xs: List[int], ys: List[int]) -> None:
@@ -288,10 +289,11 @@ class _IncrementalHpwl:
         self.cymin = [0] * count
         self.cymax = [0] * count
         self.rescans = 0
-        self.cost = 0
         for net in range(count):
             self._rescan(net)
-            self.cost += self.span(net)
+
+    def total(self) -> int:
+        return sum(self.span(net) for net in range(len(self.pins)))
 
     def span(self, net: int) -> int:
         return (self.xmax[net] - self.xmin[net]) + \
@@ -365,6 +367,143 @@ class _IncrementalHpwl:
         return self.span(net) - old_span
 
 
+def _net_pins(netlist: Netlist, cell_index: Dict[str, int],
+              movable: Optional[Set[int]] = None
+              ) -> Tuple[List[List[int]], List[List[Tuple[int, int]]]]:
+    """Per-net pin arrays (cell indices, with multiplicity) and the
+    reverse map cell → [(net, pin count)].
+
+    With a ``movable`` set, only nets with at least one movable pin are
+    kept and only movable cells get a net list: frozen pins still shape
+    the bounding boxes, but are never moved.
+    """
+    net_pins: List[List[int]] = []
+    nets_of_cell: List[List[Tuple[int, int]]] = [
+        [] for _ in range(len(cell_index))]
+    for net in netlist.nets.values():
+        pins: List[int] = []
+        if net.driver is not None and net.driver in cell_index:
+            pins.append(cell_index[net.driver])
+        for sink in net.sinks:
+            index = cell_index.get(sink)
+            if index is not None:
+                pins.append(index)
+        if not pins or (movable is not None
+                        and not any(pin in movable for pin in pins)):
+            continue
+        net_id = len(net_pins)
+        net_pins.append(pins)
+        counts: Dict[int, int] = {}
+        for pin in pins:
+            counts[pin] = counts.get(pin, 0) + 1
+        for pin, count in counts.items():
+            if movable is None or pin in movable:
+                nets_of_cell[pin].append((net_id, count))
+    return net_pins, nets_of_cell
+
+
+def _anneal(rng: random.Random, sites: _SiteManager, classes: List[str],
+            xs: List[int], ys: List[int], movable: Sequence[int],
+            tracker: _IncrementalHpwl,
+            nets_of_cell: List[List[Tuple[int, int]]], *,
+            moves: int, temperature: float, radius: float, reach: float,
+            block: int, home: Optional[List[Optional[Tuple[int, int]]]] = None,
+            penalty: float = 0.0) -> Tuple[Dict[str, int], int]:
+    """The one annealing move loop, shared by the cold and ECO placers.
+
+    Moves cells drawn from ``movable`` (updating ``xs``/``ys`` and
+    ``sites`` in place) under a geometric schedule from ``temperature``.
+    The range limit starts at ``radius`` and is floored at
+    ``max(2, reach·√(T/T0))``; a cell still on its ``home`` tile pays
+    ``penalty`` on top of its HPWL delta when judged.  Returns the
+    annealer stats and the HPWL change summed over accepted moves.
+    """
+    cols, rows = sites.grid.cols, sites.grid.rows
+    span = max(cols, rows)
+    initial_temperature = temperature
+    cooling = 0.95 ** (1.0 / max(1, moves // 100))
+    radius = float(radius)
+    count = len(movable)
+    has_room = sites.has_room
+    free = sites.free
+    move_pin = tracker.move_pin
+    block_moves = 0
+    block_accepted = 0
+    accepted = 0
+    window_fallbacks = 0
+    gain = 0
+    for _ in range(moves):
+        index = movable[rng.randrange(count)]
+        cls = classes[index]
+        ox, oy = xs[index], ys[index]
+        new_tile: Optional[Tuple[int, int]] = None
+        if cls in ("lut", "ff"):
+            r = int(radius)
+            cmin, cmax = max(0, ox - r), min(cols - 1, ox + r)
+            rmin, rmax = max(0, oy - r), min(rows - 1, oy + r)
+            for _try in range(_WINDOW_TRIES):
+                candidate = (rng.randint(cmin, cmax), rng.randint(rmin, rmax))
+                if has_room(cls, candidate):
+                    new_tile = candidate
+                    break
+            if new_tile is None:
+                window_fallbacks += 1
+                new_tile = free[cls].sample(rng)
+        else:
+            new_tile = free[cls].sample(rng)
+        if new_tile is None:
+            continue
+        nx, ny = new_tile
+        xs[index], ys[index] = nx, ny
+        delta = 0
+        affected = nets_of_cell[index]
+        saved = [(net_id, tracker.snapshot(net_id))
+                 for net_id, _count in affected]
+        for net_id, pin_count in affected:
+            delta += move_pin(net_id, ox, oy, nx, ny, pin_count)
+        block_moves += 1
+        cost = delta
+        if home is not None and home[index] == (ox, oy):
+            cost += penalty
+        if cost <= 0 or rng.random() < math.exp(-cost / temperature):
+            accepted += 1
+            block_accepted += 1
+            sites.release(cls, (ox, oy))
+            sites.occupy(cls, new_tile)
+            gain += delta
+        else:
+            xs[index], ys[index] = ox, oy
+            for net_id, state in saved:
+                tracker.restore(net_id, state)
+        if block_moves >= block:
+            rate = block_accepted / block_moves
+            # Accept-rate adaptation (target 0.44) with a temperature-
+            # tied floor: the window may not collapse faster than the
+            # anneal itself cools, or structured netlists lose the
+            # coarse shuffling phase and freeze into local minima.
+            floor = max(2.0, reach * (temperature / initial_temperature)
+                        ** 0.5)
+            radius = min(float(span), max(floor, radius * (0.56 + rate)))
+            block_moves = 0
+            block_accepted = 0
+        temperature = max(0.01, temperature * cooling)
+    stats = {"moves": moves, "accepted": accepted,
+             "rescans": tracker.rescans,
+             "window_fallbacks": window_fallbacks}
+    return stats, gain
+
+
+def _emit_counters(tracer: Optional[Tracer], stats: Dict[str, int]) -> None:
+    """Report the annealer stats as the ``place.*`` telemetry counters."""
+    if tracer is None:
+        return
+    tracer.counter("place.moves.total", "fabric").add(stats["moves"])
+    tracer.counter("place.moves.accepted", "fabric").add(stats["accepted"])
+    tracer.counter("place.bbox.rescans", "fabric").add(stats["rescans"])
+    tracer.counter("place.window.fallbacks", "fabric").add(
+        stats["window_fallbacks"])
+
+
 def place(netlist: Netlist, device: Device, seed: int = 1,
           effort: float = 1.0, tracer: Optional[Tracer] = None
           ) -> PlacementResult:
@@ -409,117 +548,22 @@ def place(netlist: Netlist, device: Device, seed: int = 1,
         sites.occupy(cls, tile)
         xs[index], ys[index] = tile
 
-    def result_locations() -> Dict[str, Tuple[int, int]]:
-        return {cell_names[i]: (xs[i], ys[i]) for i in range(ncells)}
-
     if ncells == 0:
         return PlacementResult({}, 0.0, 0.0, 0, (cols, rows))
 
-    # Per-net pin arrays (cell indices, with multiplicity) and the
-    # reverse map cell → [(net, pin count)], precomputed once.
-    net_pins: List[List[int]] = []
-    nets_of_cell: List[List[Tuple[int, int]]] = [[] for _ in range(ncells)]
-    for net in netlist.nets.values():
-        pins: List[int] = []
-        if net.driver is not None and net.driver in cell_index:
-            pins.append(cell_index[net.driver])
-        for sink in net.sinks:
-            index = cell_index.get(sink)
-            if index is not None:
-                pins.append(index)
-        if not pins:
-            continue
-        net_id = len(net_pins)
-        net_pins.append(pins)
-        counts: Dict[int, int] = {}
-        for pin in pins:
-            counts[pin] = counts.get(pin, 0) + 1
-        for pin, count in counts.items():
-            nets_of_cell[pin].append((net_id, count))
-
+    # Cold schedule: the whole design is movable, the range limit starts
+    # at (and may only shrink from) the full grid span.
+    net_pins, nets_of_cell = _net_pins(netlist, cell_index)
     tracker = _IncrementalHpwl(net_pins, xs, ys)
-    cost = tracker.cost
-    initial = cost
+    initial = tracker.total()
     moves = max(200, int(100 * effort * ncells))
-    temperature = max(1.0, cost / max(1, ncells) * 2)
-    initial_temperature = temperature
-    cooling = 0.95 ** (1.0 / max(1, moves // 100))
     span = max(cols, rows)
-    # VPR-style range limit: adapted every block of moves towards the
-    # classic 0.44 target accept rate — the window widens while moves
-    # are cheap (hot) and contracts as the anneal freezes.
-    radius = float(span)
-    block = max(50, moves // 100)
-    block_moves = 0
-    block_accepted = 0
-    iterations = 0
-    accepted = 0
-    window_fallbacks = 0
-    move_pin = tracker.move_pin
-    for _ in range(moves):
-        iterations += 1
-        index = rng.randrange(ncells)
-        cls = classes[index]
-        ox, oy = xs[index], ys[index]
-        new_tile: Optional[Tuple[int, int]] = None
-        if cls in ("lut", "ff"):
-            r = int(radius)
-            cmin, cmax = max(0, ox - r), min(cols - 1, ox + r)
-            rmin, rmax = max(0, oy - r), min(rows - 1, oy + r)
-            has_room = sites.has_room
-            for _try in range(_WINDOW_TRIES):
-                candidate = (rng.randint(cmin, cmax), rng.randint(rmin, rmax))
-                if has_room(cls, candidate):
-                    new_tile = candidate
-                    break
-            if new_tile is None:
-                window_fallbacks += 1
-                new_tile = sites.free[cls].sample(rng)
-        else:
-            new_tile = sites.free[cls].sample(rng)
-        if new_tile is None:
-            continue
-        nx, ny = new_tile
-        xs[index], ys[index] = nx, ny
-        delta = 0
-        affected = nets_of_cell[index]
-        saved = [(net_id, tracker.snapshot(net_id))
-                 for net_id, _count in affected]
-        for net_id, count in affected:
-            delta += move_pin(net_id, ox, oy, nx, ny, count)
-        block_moves += 1
-        if delta <= 0 or rng.random() < math.exp(-delta / temperature):
-            accepted += 1
-            block_accepted += 1
-            sites.release(cls, (ox, oy))
-            sites.occupy(cls, new_tile)
-            cost += delta
-        else:
-            xs[index], ys[index] = ox, oy
-            for net_id, state in saved:
-                tracker.restore(net_id, state)
-        if block_moves >= block:
-            rate = block_accepted / block_moves
-            # Accept-rate adaptation (target 0.44) with a temperature-
-            # tied floor: the window may not collapse faster than the
-            # anneal itself cools, or structured netlists lose the
-            # coarse shuffling phase and freeze into local minima.
-            floor = max(2.0, span * (temperature / initial_temperature)
-                        ** 0.5)
-            radius = min(float(span), max(floor, radius * (0.56 + rate)))
-            block_moves = 0
-            block_accepted = 0
-        temperature = max(0.01, temperature * cooling)
-
-    stats = {"moves": iterations, "accepted": accepted,
-             "rescans": tracker.rescans,
-             "window_fallbacks": window_fallbacks}
-    if tracer is not None:
-        tracer.counter("place.moves.total", "fabric").add(iterations)
-        tracer.counter("place.moves.accepted", "fabric").add(accepted)
-        tracer.counter("place.bbox.rescans", "fabric").add(tracker.rescans)
-        tracer.counter("place.window.fallbacks", "fabric").add(
-            window_fallbacks)
-    return PlacementResult(locations=result_locations(), hpwl=cost,
-                           initial_hpwl=initial, iterations=iterations,
+    stats, gain = _anneal(
+        rng, sites, classes, xs, ys, range(ncells), tracker, nets_of_cell,
+        moves=moves, temperature=max(1.0, initial / ncells * 2),
+        radius=span, reach=span, block=max(50, moves // 100))
+    _emit_counters(tracer, stats)
+    locations = {cell_names[i]: (xs[i], ys[i]) for i in range(ncells)}
+    return PlacementResult(locations=locations, hpwl=initial + gain,
+                           initial_hpwl=initial, iterations=moves,
                            grid=(cols, rows), stats=stats)

@@ -38,10 +38,12 @@ from repro.fabric import (
     analyze_timing_cone,
     analyze_timing_state,
     eco_place,
+    place,
     random_delta,
     route,
     scaled_device,
     synthesize_component,
+    synthesize_random,
 )
 from repro.fabric.netlist import DFF, LUT4
 from repro.fabric.routing import _usage_of_paths
@@ -232,13 +234,27 @@ class TestEcoPlace:
         assert one.locations == two.locations
         assert one.hpwl == two.hpwl
 
-    def test_tracked_hpwl_matches_full_rescan(self):
+    @staticmethod
+    def _synth_base(cells):
+        netlist = synthesize_random(cells, seed=2)
+        device = scaled_device(NG_ULTRA, "S", luts=16000)
+        return netlist, device, place(netlist, device, seed=2, effort=0.7)
+
+    @pytest.mark.parametrize("design,fraction", [
+        ("addsub16", 0.1), ("synth300", 0.01), ("synth300", 0.05)])
+    def test_tracked_hpwl_matches_full_rescan(self, design, fraction):
         from repro.fabric.placement import total_hpwl
-        project, placement = self._base()
-        delta = random_delta(project.netlist, 0.1, seed=3)
-        edited, impact = delta.apply(project.netlist)
-        result = eco_place(edited, project.device, placement,
+        if design == "addsub16":
+            project, placement = self._base()
+            netlist, device = project.netlist, project.device
+        else:
+            netlist, device, placement = self._synth_base(300)
+        delta = random_delta(netlist, fraction, seed=3)
+        edited, impact = delta.apply(netlist)
+        result = eco_place(edited, device, placement,
                            set(impact.changed_cells), seed=1)
+        # The check is only meaningful if the anneal moved something.
+        assert result.stats["moved"] > 0
         assert result.hpwl == total_hpwl(edited, result.locations)
 
 
@@ -420,6 +436,16 @@ class TestEcoFlowEndToEnd:
         project = NXmapProject(base_netlist(), small_device(), seed=1,
                                tracer=tracer)
         delta = random_delta(project.netlist, 0.1, seed=3)
-        EcoFlow(project, delta).run()
+        flow = EcoFlow(project, delta)
+        flow.run()
         assert {"eco.cells.moved", "eco.nets.ripped",
                 "eco.sta.cone_size"} <= set(tracer.counters)
+        # The warm-start anneal reports the same four place.* counters
+        # as the cold placer, on top of the base placement's.
+        base, eco = project.placement.stats, flow.placement.stats
+        for name, key in (("place.moves.total", "moves"),
+                          ("place.moves.accepted", "accepted"),
+                          ("place.bbox.rescans", "rescans"),
+                          ("place.window.fallbacks", "window_fallbacks")):
+            assert tracer.counters[name].value == base[key] + eco[key]
+        assert eco["rescans"] > 0
