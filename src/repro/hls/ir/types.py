@@ -190,11 +190,11 @@ def common_type(a: Type, b: Type) -> Type:
         return F32
     if not (isinstance(a, IntType) and isinstance(b, IntType)):
         raise TypeError(f"no common type for {a} and {b}")
-    width = max(a.width, b.width, 32)
-    if a.width == b.width and a.signed != b.signed:
-        return IntType(width, signed=False)
-    signed = a.signed and b.signed
+    # Integer promotion first: anything narrower than int becomes int.
+    if a.width < 32:
+        a = I32
+    if b.width < 32:
+        b = I32
     if a.width != b.width:
-        wider = a if a.width > b.width else b
-        signed = wider.signed if wider.width >= 32 else True
-    return IntType(width, signed)
+        return a if a.width > b.width else b
+    return IntType(a.width, a.signed and b.signed)

@@ -91,6 +91,14 @@ class TestScalars:
         src_unsigned = "int f(unsigned a) { return a < 1; }"
         assert run(src_unsigned, "f", (2**32 - 1,))[0] == 0
 
+    def test_narrow_unsigned_operands_promote_to_int(self):
+        # C promotes both operands to int before the usual arithmetic
+        # conversions, so neither sum below is unsigned.
+        src = "int f(int a, int b, int c) { return a < ((b < 0) + (c < 0)); }"
+        assert run(src, "f", (-1, 0, 0))[0] == 1
+        src = "int f(uint8_t x, uint8_t y) { return (x - y) < 0; }"
+        assert run(src, "f", (1, 2))[0] == 1
+
 
 class TestControlFlow:
     def test_if_else(self):
