@@ -42,9 +42,15 @@ def small_device():
 
 
 def random_netlist(n_cells=300, seed=11, fanin=3, window=24,
-                   with_macros=False):
+                   with_macros=False, hubs=0, hub_rate=0.0):
     """A random LUT/FF design with local connectivity (plus optional
-    DSP/BRAM macros to exercise the dedicated-column free-lists)."""
+    DSP/BRAM macros to exercise the dedicated-column free-lists).
+
+    With ``hubs``, a LUT's first input is rewired with probability
+    ``hub_rate`` to one of the first ``hubs`` cell outputs, skewed
+    toward the lowest: a spread of high-fanout nets (tens of pins) on
+    top of the local ones.
+    """
     rng = random.Random(seed)
     netlist = Netlist(f"prop{n_cells}")
     for i in range(8):
@@ -64,6 +70,8 @@ def random_netlist(n_cells=300, seed=11, fanin=3, window=24,
         else:
             ins = [recent[-1 - rng.randrange(min(len(recent), window))]
                    for _ in range(2 + rng.randrange(fanin - 1))]
+            if i >= hubs > 0 and rng.random() < hub_rate:
+                ins[0] = f"n{rng.randrange(1 + rng.randrange(hubs))}"
             netlist.add_cell(Cell(name=f"lut{i}", kind=LUT4,
                                   inputs=ins, output=out,
                                   init=rng.randrange(1 << 16)))
@@ -237,6 +245,8 @@ class TestAnnealerOutputsPinned:
                  "2383898d44924bb142102e5a64364cc6",
         "macros": "376c24ef23c83e4cb1b834b35c13cc3c"
                   "39f8aa440d19e4e2102969de67b44c5f",
+        "hubs": "fde4c4f6a36e9a9a3b24de917993a60e"
+                "cf10caeba93a47012e06a2d584942f39",
     }
     ECO = {
         0.001: "7faf2fc784eb7d2dee22f1e21367a184"
@@ -247,13 +257,33 @@ class TestAnnealerOutputsPinned:
               "d82dc11fd7b379e64f5674224ad5e611",
     }
 
+    #: ECO edit on the "hubs" fixture, whose movable cells sit on nets
+    #: of up to ~50 pins (frozen pins included).
+    ECO_HUBS = ("e259427cdc939c36f3f122318d180762"
+                "089611b2a8b3ce0befe644f543a5dcbd")
+
     @staticmethod
     def _fixture(name):
         # "macros" carries DSP/BRAM cells, whose moves take the
-        # free-list-only branch of the move loop.
+        # free-list-only branch of the move loop; "hubs" carries a
+        # spread of 9-54-pin nets, which take the large-net bbox path.
         if name == "macros":
             return random_netlist(400, seed=5, with_macros=True), 3
+        if name == "hubs":
+            return random_netlist(1500, seed=13, hubs=32,
+                                  hub_rate=0.3), 2
         return random_netlist(300, seed=11), 4
+
+    def _eco_digest(self, name, fraction):
+        netlist, seed = self._fixture(name)
+        device = small_device()
+        base = place(netlist, device, seed=seed, effort=0.5)
+        edited, impact = random_delta(netlist, fraction, seed=3) \
+            .apply(netlist)
+        result = eco_place(edited, device, base,
+                           set(impact.changed_cells), seed=1)
+        return _digest({"locations": result.to_json()["locations"],
+                        "stats": result.stats})
 
     @pytest.mark.parametrize("name", sorted(COLD))
     def test_cold_placement_bytes(self, name):
@@ -263,16 +293,10 @@ class TestAnnealerOutputsPinned:
 
     @pytest.mark.parametrize("fraction", sorted(ECO))
     def test_eco_locations_and_stats(self, fraction):
-        netlist, seed = self._fixture("macros")
-        device = small_device()
-        base = place(netlist, device, seed=seed, effort=0.5)
-        edited, impact = random_delta(netlist, fraction, seed=3) \
-            .apply(netlist)
-        result = eco_place(edited, device, base,
-                           set(impact.changed_cells), seed=1)
-        payload = {"locations": result.to_json()["locations"],
-                   "stats": result.stats}
-        assert _digest(payload) == self.ECO[fraction]
+        assert self._eco_digest("macros", fraction) == self.ECO[fraction]
+
+    def test_eco_high_fanout_locations_and_stats(self):
+        assert self._eco_digest("hubs", 0.05) == self.ECO_HUBS
 
 
 class TestKernelVersionCacheSalt:
