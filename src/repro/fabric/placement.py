@@ -9,7 +9,8 @@ summed over nets, the classic VPR-style objective.
 The annealer is *incremental* (PR 5): per-net bounding boxes carry
 pin-count-at-extreme bookkeeping so a move is an O(1) delta in the
 common case, falling back to an O(pins) rescan only when the last pin at
-an extreme moves inward; free sites come from per-site-class free-lists
+an extreme moves inward; a move is priced in scratch and written back
+only when accepted; free sites come from per-site-class free-lists
 (no rejection sampling); and moves are VPR-style range-limited, with a
 window that shrinks as the temperature drops.  Results stay
 deterministic per seed; ``PLACE_KERNEL_VERSION`` salts the flow-cache
@@ -38,6 +39,11 @@ PLACE_KERNEL_VERSION = 2
 
 #: Window samples attempted before falling back to the global free-list.
 _WINDOW_TRIES = 8
+
+#: Nets of at most this many pins rescan their bounding box in one pass
+#: over the pins; larger ones use ``min``/``max``/``list.count`` (the
+#: VPR ``SMALL_NET`` split).
+SMALL_NET = 8
 
 
 class PlacementError(Exception):
@@ -261,24 +267,35 @@ def total_hpwl(netlist: Netlist,
                for name in netlist.nets)
 
 
+def _bbox(pins: List[int], xs: List[int], ys: List[int]
+          ) -> Tuple[int, int, int, int, int, int, int, int]:
+    """A net's bounding box ``(xmin, xmax, ymin, ymax)`` followed by the
+    pin count at each of those extremes."""
+    pin_xs = [xs[pin] for pin in pins]
+    pin_ys = [ys[pin] for pin in pins]
+    xmin, xmax = min(pin_xs), max(pin_xs)
+    ymin, ymax = min(pin_ys), max(pin_ys)
+    return (xmin, xmax, ymin, ymax, pin_xs.count(xmin),
+            pin_xs.count(xmax), pin_ys.count(ymin), pin_ys.count(ymax))
+
+
 class _IncrementalHpwl:
     """Per-net bounding boxes with pin-count-at-extreme bookkeeping.
 
-    Moving one pin is O(1) unless it was the *only* pin at a bbox
-    extreme and moved inward — then the net is rescanned (O(pins)) and
-    the fallback counted.  ``total()`` equals ``total_hpwl`` over the
+    ``_anneal`` prices a move from these arrays in O(1) per net, unless
+    the moved pin(s) were the last at an extreme and left it (then the
+    net is rescanned, O(pins)), and writes the new boxes back only when
+    the move is accepted.  ``total()`` equals ``total_hpwl`` over the
     tracked nets, recomputed from scratch, at all times
     (property-tested).
     """
 
-    __slots__ = ("pins", "xs", "ys", "xmin", "xmax", "ymin", "ymax",
-                 "cxmin", "cxmax", "cymin", "cymax", "rescans")
+    __slots__ = ("pins", "xmin", "xmax", "ymin", "ymax",
+                 "cxmin", "cxmax", "cymin", "cymax")
 
     def __init__(self, net_pins: List[List[int]],
                  xs: List[int], ys: List[int]) -> None:
         self.pins = net_pins
-        self.xs = xs
-        self.ys = ys
         count = len(net_pins)
         self.xmin = [0] * count
         self.xmax = [0] * count
@@ -288,83 +305,17 @@ class _IncrementalHpwl:
         self.cxmax = [0] * count
         self.cymin = [0] * count
         self.cymax = [0] * count
-        self.rescans = 0
         for net in range(count):
-            self._rescan(net)
+            self._rescan(net, xs, ys)
 
     def total(self) -> int:
-        return sum(self.span(net) for net in range(len(self.pins)))
+        return sum(xmax - xmin + ymax - ymin for xmin, xmax, ymin, ymax
+                   in zip(self.xmin, self.xmax, self.ymin, self.ymax))
 
-    def span(self, net: int) -> int:
-        return (self.xmax[net] - self.xmin[net]) + \
-            (self.ymax[net] - self.ymin[net])
-
-    def _rescan(self, net: int) -> None:
-        xs, ys = self.xs, self.ys
-        pins = self.pins[net]
-        pin_xs = [xs[pin] for pin in pins]
-        pin_ys = [ys[pin] for pin in pins]
-        xmin, xmax = min(pin_xs), max(pin_xs)
-        ymin, ymax = min(pin_ys), max(pin_ys)
-        self.xmin[net], self.xmax[net] = xmin, xmax
-        self.ymin[net], self.ymax[net] = ymin, ymax
-        self.cxmin[net] = pin_xs.count(xmin)
-        self.cxmax[net] = pin_xs.count(xmax)
-        self.cymin[net] = pin_ys.count(ymin)
-        self.cymax[net] = pin_ys.count(ymax)
-
-    def snapshot(self, net: int) -> Tuple[int, ...]:
-        return (self.xmin[net], self.xmax[net], self.ymin[net],
-                self.ymax[net], self.cxmin[net], self.cxmax[net],
-                self.cymin[net], self.cymax[net])
-
-    def restore(self, net: int, state: Tuple[int, ...]) -> None:
+    def _rescan(self, net: int, xs: List[int], ys: List[int]) -> None:
         (self.xmin[net], self.xmax[net], self.ymin[net], self.ymax[net],
          self.cxmin[net], self.cxmax[net], self.cymin[net],
-         self.cymax[net]) = state
-
-    def move_pin(self, net: int, ox: int, oy: int, nx: int, ny: int,
-                 count: int) -> int:
-        """Apply one cell move (``count`` pins) to ``net``; return the
-        HPWL delta.  The pin coordinate arrays must already hold the new
-        location (used by the rescan fallback)."""
-        old_span = self.span(net)
-        # Insert the pin(s) at the new location.
-        if nx < self.xmin[net]:
-            self.xmin[net], self.cxmin[net] = nx, count
-        elif nx == self.xmin[net]:
-            self.cxmin[net] += count
-        if nx > self.xmax[net]:
-            self.xmax[net], self.cxmax[net] = nx, count
-        elif nx == self.xmax[net]:
-            self.cxmax[net] += count
-        if ny < self.ymin[net]:
-            self.ymin[net], self.cymin[net] = ny, count
-        elif ny == self.ymin[net]:
-            self.cymin[net] += count
-        if ny > self.ymax[net]:
-            self.ymax[net], self.cymax[net] = ny, count
-        elif ny == self.ymax[net]:
-            self.cymax[net] += count
-        # Remove the pin(s) from the old location; losing the last pin
-        # at an extreme forces the rescan fallback.
-        rescan = False
-        if ox == self.xmin[net]:
-            self.cxmin[net] -= count
-            rescan |= self.cxmin[net] <= 0
-        if ox == self.xmax[net]:
-            self.cxmax[net] -= count
-            rescan |= self.cxmax[net] <= 0
-        if oy == self.ymin[net]:
-            self.cymin[net] -= count
-            rescan |= self.cymin[net] <= 0
-        if oy == self.ymax[net]:
-            self.cymax[net] -= count
-            rescan |= self.cymax[net] <= 0
-        if rescan:
-            self.rescans += 1
-            self._rescan(net)
-        return self.span(net) - old_span
+         self.cymax[net]) = _bbox(self.pins[net], xs, ys)
 
 
 def _net_pins(netlist: Netlist, cell_index: Dict[str, int],
@@ -411,12 +362,20 @@ def _anneal(rng: random.Random, sites: _SiteManager, classes: List[str],
             penalty: float = 0.0) -> Tuple[Dict[str, int], int]:
     """The one annealing move loop, shared by the cold and ECO placers.
 
-    Moves cells drawn from ``movable`` (updating ``xs``/``ys`` and
-    ``sites`` in place) under a geometric schedule from ``temperature``.
-    The range limit starts at ``radius`` and is floored at
-    ``max(2, reach·√(T/T0))``; a cell still on its ``home`` tile pays
-    ``penalty`` on top of its HPWL delta when judged.  Returns the
-    annealer stats and the HPWL change summed over accepted moves.
+    Moves cells drawn from ``movable`` (updating ``xs``/``ys``,
+    ``sites`` and ``tracker`` in place) under a geometric schedule from
+    ``temperature``.  The range limit starts at ``radius`` and is
+    floored at ``max(2, reach·√(T/T0))``; a cell still on its ``home``
+    tile pays ``penalty`` on top of its HPWL delta when judged.  Returns
+    the annealer stats and the HPWL change summed over accepted moves.
+
+    A move is evaluated, then committed: each touched net's proposed box
+    lives in locals and reaches the tracker only if the move is
+    accepted.  The body is written out inline (tracker arithmetic and
+    random draws) because it runs a hundred times per cell; integer
+    draws consume the stream exactly as ``rng.randrange``/``randint``
+    do on CPython (``Random._randbelow_with_getrandbits``: draw
+    ``n.bit_length()`` bits, redraw while ≥ n).
     """
     cols, rows = sites.grid.cols, sites.grid.rows
     span = max(cols, rows)
@@ -424,57 +383,153 @@ def _anneal(rng: random.Random, sites: _SiteManager, classes: List[str],
     cooling = 0.95 ** (1.0 / max(1, moves // 100))
     radius = float(radius)
     count = len(movable)
-    has_room = sites.has_room
-    free = sites.free
-    move_pin = tracker.move_pin
+    count_bits = count.bit_length()
+    getrandbits = rng.getrandbits
+    uniform = rng.random
+    exp = math.exp
+    used, capacity, free = sites.used, sites.capacity, sites.free
+    release, occupy = sites.release, sites.occupy
+    pins_of = tracker.pins
+    xmin, xmax, ymin, ymax = (tracker.xmin, tracker.xmax, tracker.ymin,
+                              tracker.ymax)
+    cxmin, cxmax, cymin, cymax = (tracker.cxmin, tracker.cxmax,
+                                  tracker.cymin, tracker.cymax)
     block_moves = 0
     block_accepted = 0
     accepted = 0
     window_fallbacks = 0
+    rescans = 0
     gain = 0
     for _ in range(moves):
-        index = movable[rng.randrange(count)]
+        pick = getrandbits(count_bits)
+        while pick >= count:
+            pick = getrandbits(count_bits)
+        index = movable[pick]
         cls = classes[index]
         ox, oy = xs[index], ys[index]
         new_tile: Optional[Tuple[int, int]] = None
-        if cls in ("lut", "ff"):
+        if cls == "lut" or cls == "ff":
             r = int(radius)
-            cmin, cmax = max(0, ox - r), min(cols - 1, ox + r)
-            rmin, rmax = max(0, oy - r), min(rows - 1, oy + r)
+            cmin = ox - r if ox > r else 0
+            rmin = oy - r if oy > r else 0
+            width = (ox + r if ox + r < cols else cols - 1) - cmin + 1
+            height = (oy + r if oy + r < rows else rows - 1) - rmin + 1
+            width_bits = width.bit_length()
+            height_bits = height.bit_length()
+            table, room = used[cls], capacity[cls]
             for _try in range(_WINDOW_TRIES):
-                candidate = (rng.randint(cmin, cmax), rng.randint(rmin, rmax))
-                if has_room(cls, candidate):
+                col = getrandbits(width_bits)
+                while col >= width:
+                    col = getrandbits(width_bits)
+                row = getrandbits(height_bits)
+                while row >= height:
+                    row = getrandbits(height_bits)
+                candidate = (cmin + col, rmin + row)
+                if table.get(candidate, 0) < room:
                     new_tile = candidate
                     break
-            if new_tile is None:
+            else:
                 window_fallbacks += 1
-                new_tile = free[cls].sample(rng)
-        else:
-            new_tile = free[cls].sample(rng)
         if new_tile is None:
-            continue
+            items = free[cls].items
+            size = len(items)
+            if not size:
+                continue
+            size_bits = size.bit_length()
+            pick = getrandbits(size_bits)
+            while pick >= size:
+                pick = getrandbits(size_bits)
+            new_tile = items[pick]
         nx, ny = new_tile
         xs[index], ys[index] = nx, ny
         delta = 0
-        affected = nets_of_cell[index]
-        saved = [(net_id, tracker.snapshot(net_id))
-                 for net_id, _count in affected]
-        for net_id, pin_count in affected:
-            delta += move_pin(net_id, ox, oy, nx, ny, pin_count)
+        proposal = []
+        for net, k in nets_of_cell[index]:
+            xlo, xhi, ylo, yhi = xmin[net], xmax[net], ymin[net], ymax[net]
+            cxlo, cxhi = cxmin[net], cxmax[net]
+            cylo, cyhi = cymin[net], cymax[net]
+            old_span = xhi - xlo + yhi - ylo
+            # Insert the k pins at the new location...
+            if nx < xlo:
+                xlo, cxlo = nx, k
+            elif nx == xlo:
+                cxlo += k
+            if nx > xhi:
+                xhi, cxhi = nx, k
+            elif nx == xhi:
+                cxhi += k
+            if ny < ylo:
+                ylo, cylo = ny, k
+            elif ny == ylo:
+                cylo += k
+            if ny > yhi:
+                yhi, cyhi = ny, k
+            elif ny == yhi:
+                cyhi += k
+            # ...then remove them from the old one; losing the last pin
+            # at an extreme forces a rescan.
+            stale = False
+            if ox == xlo:
+                cxlo -= k
+                stale = cxlo <= 0
+            if ox == xhi:
+                cxhi -= k
+                stale = stale or cxhi <= 0
+            if oy == ylo:
+                cylo -= k
+                stale = stale or cylo <= 0
+            if oy == yhi:
+                cyhi -= k
+                stale = stale or cyhi <= 0
+            if stale:
+                rescans += 1
+                pins = pins_of[net]
+                if len(pins) > SMALL_NET:
+                    xlo, xhi, ylo, yhi, cxlo, cxhi, cylo, cyhi = \
+                        _bbox(pins, xs, ys)
+                else:
+                    # One pass gathers both extremes and their counts.
+                    xlo = xhi = xs[pins[0]]
+                    ylo = yhi = ys[pins[0]]
+                    cxlo = cxhi = cylo = cyhi = 0
+                    for pin in pins:
+                        x, y = xs[pin], ys[pin]
+                        if x < xlo:
+                            xlo, cxlo = x, 1
+                        elif x == xlo:
+                            cxlo += 1
+                        if x > xhi:
+                            xhi, cxhi = x, 1
+                        elif x == xhi:
+                            cxhi += 1
+                        if y < ylo:
+                            ylo, cylo = y, 1
+                        elif y == ylo:
+                            cylo += 1
+                        if y > yhi:
+                            yhi, cyhi = y, 1
+                        elif y == yhi:
+                            cyhi += 1
+            delta += xhi - xlo + yhi - ylo - old_span
+            proposal.append((net, xlo, xhi, ylo, yhi, cxlo, cxhi, cylo,
+                             cyhi))
         block_moves += 1
         cost = delta
         if home is not None and home[index] == (ox, oy):
             cost += penalty
-        if cost <= 0 or rng.random() < math.exp(-cost / temperature):
+        if cost <= 0 or uniform() < exp(-cost / temperature):
             accepted += 1
             block_accepted += 1
-            sites.release(cls, (ox, oy))
-            sites.occupy(cls, new_tile)
+            release(cls, (ox, oy))
+            occupy(cls, new_tile)
             gain += delta
+            for net, xlo, xhi, ylo, yhi, cxlo, cxhi, cylo, cyhi in proposal:
+                xmin[net], xmax[net], ymin[net], ymax[net] = \
+                    xlo, xhi, ylo, yhi
+                cxmin[net], cxmax[net], cymin[net], cymax[net] = \
+                    cxlo, cxhi, cylo, cyhi
         else:
             xs[index], ys[index] = ox, oy
-            for net_id, state in saved:
-                tracker.restore(net_id, state)
         if block_moves >= block:
             rate = block_accepted / block_moves
             # Accept-rate adaptation (target 0.44) with a temperature-
@@ -487,8 +542,7 @@ def _anneal(rng: random.Random, sites: _SiteManager, classes: List[str],
             block_moves = 0
             block_accepted = 0
         temperature = max(0.01, temperature * cooling)
-    stats = {"moves": moves, "accepted": accepted,
-             "rescans": tracker.rescans,
+    stats = {"moves": moves, "accepted": accepted, "rescans": rescans,
              "window_fallbacks": window_fallbacks}
     return stats, gain
 
