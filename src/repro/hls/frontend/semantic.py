@@ -256,7 +256,7 @@ class Analyzer:
             if expr.op in ("shl", "shr"):
                 base = lhs_ty
                 if isinstance(base, IntType) and base.width < 32:
-                    base = IntType(32, base.signed)
+                    base = I32  # integer promotion
                 return base
             return common_type(lhs_ty, rhs_ty)
         if isinstance(expr, ast.Conditional):

@@ -99,6 +99,14 @@ class TestScalars:
         src = "int f(uint8_t x, uint8_t y) { return (x - y) < 0; }"
         assert run(src, "f", (1, 2))[0] == 1
 
+    def test_narrow_unsigned_shift_operand_promotes_to_int(self):
+        # The shift result takes the promoted left operand's type: int
+        # for uint8_t/bool, so the comparison with -1 is signed.
+        src = "int f() { uint8_t a = 4; return (a >> 1) > -1; }"
+        assert run(src, "f")[0] == 1
+        src = "int f(bool b) { return (b << 1) > -1; }"
+        assert run(src, "f", (1,))[0] == 1
+
 
 class TestControlFlow:
     def test_if_else(self):
