@@ -1,8 +1,9 @@
 """PR 5 — incremental physical-implementation kernels vs the baselines.
 
 Races the rewritten place/route kernels against the pre-change reference
-implementations (kept verbatim in ``repro.fabric.reference``) on a
-synthetic ~10k-cell design and on the three Fig. 3 HLS designs.  Gates:
+implementations (kept verbatim in ``_reference.py`` beside this file) on
+a synthetic ~10k-cell design and on the three Fig. 3 HLS designs.
+Gates:
 
 * ≥3x end-to-end place+route speedup on the large design;
 * HPWL and routed wirelength within 5% of the baseline (the tree-shared
@@ -19,13 +20,13 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent))
 
 from _common import save_table
+from _reference import reference_place, reference_route
 
 from repro.apps import image, sdr
 from repro.core import Table
 from repro.fabric import NG_ULTRA, Cell, Netlist, scaled_device
 from repro.fabric import place, route, synthesize_design, synthesize_random
 from repro.fabric.netlist import DFF, LUT4
-from repro.fabric.reference import reference_place, reference_route
 from repro.hls import synthesize
 
 DESIGNS = {
@@ -111,7 +112,7 @@ def run_kernel_race():
                       round(metrics["wl_ratio"], 4),
                       metrics["new_route"].failed_connections,
                       metrics["old_route"].failed_connections)
-    table.add_note("old = pre-PR-5 kernels (repro.fabric.reference): "
+    table.add_note("old = pre-PR-5 kernels (benchmarks/_reference.py): "
                    "full-recompute annealer, full-reroute negotiation, "
                    "per-sink driver paths")
     table.add_note(f"large design: effort={LARGE_EFFORT}, "

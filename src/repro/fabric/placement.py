@@ -93,7 +93,7 @@ class PlacementResult:
 
 
 class _Grid:
-    """Tracks per-tile occupancy for each site class."""
+    """The placement grid's dimensions and its macro columns."""
 
     def __init__(self, device: Device, netlist: Netlist,
                  min_cols: int = 4,
@@ -110,9 +110,6 @@ class _Grid:
             # ECO warm start): frozen tiles must stay legal, so the
             # edited design anneals on the base design's grid.
             self.cols, self.rows = dims
-            self.lut_used = {}
-            self.ff_used = {}
-            self.macro_used = {}
             return
         cells_needed = max(stats["luts"], stats["ffs"]) / LUTS_PER_TILE
         tiles_needed = max(4, int(cells_needed * 1.6) + 2)
@@ -126,16 +123,6 @@ class _Grid:
         if stats["brams"]:
             cols = max(cols, _BRAM_COLUMN_STRIDE // 2 + 1)
         self.cols, self.rows = cols, rows
-        self.lut_used: Dict[Tuple[int, int], int] = {}
-        self.ff_used: Dict[Tuple[int, int], int] = {}
-        self.macro_used: Dict[Tuple[int, int], int] = {}
-
-    def site_class(self, kind: str) -> str:
-        if kind in _LUT_CLASS:
-            return "lut"
-        if kind == DFF:
-            return "ff"
-        return "macro"
 
     def is_macro_column(self, kind: str, col: int) -> bool:
         if kind == DSP:
@@ -143,27 +130,6 @@ class _Grid:
         if kind == BRAM:
             return col % _BRAM_COLUMN_STRIDE == _BRAM_COLUMN_STRIDE // 2
         return True
-
-    def capacity_left(self, kind: str, tile: Tuple[int, int]) -> bool:
-        cls = self.site_class(kind)
-        if cls == "lut":
-            return self.lut_used.get(tile, 0) < LUTS_PER_TILE
-        if cls == "ff":
-            return self.ff_used.get(tile, 0) < LUTS_PER_TILE
-        return self.is_macro_column(kind, tile[0]) and \
-            self.macro_used.get(tile, 0) < 2
-
-    def occupy(self, kind: str, tile: Tuple[int, int]) -> None:
-        cls = self.site_class(kind)
-        table = {"lut": self.lut_used, "ff": self.ff_used,
-                 "macro": self.macro_used}[cls]
-        table[tile] = table.get(tile, 0) + 1
-
-    def release(self, kind: str, tile: Tuple[int, int]) -> None:
-        cls = self.site_class(kind)
-        table = {"lut": self.lut_used, "ff": self.ff_used,
-                 "macro": self.macro_used}[cls]
-        table[tile] -= 1
 
 
 class _FreeList:
