@@ -376,10 +376,9 @@ def _anneal(rng: random.Random, sites: _SiteManager, classes: List[str],
         new_tile: Optional[Tuple[int, int]] = None
         if cls == "lut" or cls == "ff":
             r = int(radius)
-            cmin = ox - r if ox > r else 0
-            rmin = oy - r if oy > r else 0
-            width = (ox + r if ox + r < cols else cols - 1) - cmin + 1
-            height = (oy + r if oy + r < rows else rows - 1) - rmin + 1
+            cmin, cmax = max(0, ox - r), min(cols - 1, ox + r)
+            rmin, rmax = max(0, oy - r), min(rows - 1, oy + r)
+            width, height = cmax - cmin + 1, rmax - rmin + 1
             width_bits = width.bit_length()
             height_bits = height.bit_length()
             table, room = used[cls], capacity[cls]
