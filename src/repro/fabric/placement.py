@@ -271,17 +271,14 @@ class _IncrementalHpwl:
         self.cxmax = [0] * count
         self.cymin = [0] * count
         self.cymax = [0] * count
-        for net in range(count):
-            self._rescan(net, xs, ys)
+        for net, pins in enumerate(net_pins):
+            (self.xmin[net], self.xmax[net], self.ymin[net], self.ymax[net],
+             self.cxmin[net], self.cxmax[net], self.cymin[net],
+             self.cymax[net]) = _bbox(pins, xs, ys)
 
     def total(self) -> int:
         return sum(xmax - xmin + ymax - ymin for xmin, xmax, ymin, ymax
                    in zip(self.xmin, self.xmax, self.ymin, self.ymax))
-
-    def _rescan(self, net: int, xs: List[int], ys: List[int]) -> None:
-        (self.xmin[net], self.xmax[net], self.ymin[net], self.ymax[net],
-         self.cxmin[net], self.cxmax[net], self.cymin[net],
-         self.cymax[net]) = _bbox(self.pins[net], xs, ys)
 
 
 def _net_pins(netlist: Netlist, cell_index: Dict[str, int],
@@ -351,7 +348,7 @@ def _anneal(rng: random.Random, sites: _SiteManager, classes: List[str],
     count = len(movable)
     count_bits = count.bit_length()
     getrandbits = rng.getrandbits
-    uniform = rng.random
+    rand = rng.random
     exp = math.exp
     used, capacity, free = sites.used, sites.capacity, sites.free
     release, occupy = sites.release, sites.occupy
@@ -482,7 +479,7 @@ def _anneal(rng: random.Random, sites: _SiteManager, classes: List[str],
         cost = delta
         if home is not None and home[index] == (ox, oy):
             cost += penalty
-        if cost <= 0 or uniform() < exp(-cost / temperature):
+        if cost <= 0 or rand() < exp(-cost / temperature):
             accepted += 1
             block_accepted += 1
             release(cls, (ox, oy))
