@@ -1,4 +1,5 @@
-"""Pre-PR-5 baseline physical-implementation kernels.
+"""Baseline physical-implementation kernels, from before the incremental
+rewrite.
 
 These are the original (naive) placement and routing algorithms kept as
 the QoR/perf oracle for ``bench_flow_kernels.py``: the incremental

@@ -112,7 +112,7 @@ def run_kernel_race():
                       round(metrics["wl_ratio"], 4),
                       metrics["new_route"].failed_connections,
                       metrics["old_route"].failed_connections)
-    table.add_note("old = pre-PR-5 kernels (benchmarks/_reference.py): "
+    table.add_note("old = original kernels (benchmarks/_reference.py): "
                    "full-recompute annealer, full-reroute negotiation, "
                    "per-sink driver paths")
     table.add_note(f"large design: effort={LARGE_EFFORT}, "
