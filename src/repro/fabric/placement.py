@@ -40,11 +40,6 @@ PLACE_KERNEL_VERSION = 2
 #: Window samples attempted before falling back to the global free-list.
 _WINDOW_TRIES = 8
 
-#: Nets of at most this many pins rescan their bounding box in one pass
-#: over the pins; larger ones use ``min``/``max``/``list.count`` (the
-#: VPR ``SMALL_NET`` split).
-SMALL_NET = 8
-
 
 class PlacementError(Exception):
     pass
@@ -236,13 +231,29 @@ def total_hpwl(netlist: Netlist,
 def _bbox(pins: List[int], xs: List[int], ys: List[int]
           ) -> Tuple[int, int, int, int, int, int, int, int]:
     """A net's bounding box ``(xmin, xmax, ymin, ymax)`` followed by the
-    pin count at each of those extremes."""
-    pin_xs = [xs[pin] for pin in pins]
-    pin_ys = [ys[pin] for pin in pins]
-    xmin, xmax = min(pin_xs), max(pin_xs)
-    ymin, ymax = min(pin_ys), max(pin_ys)
-    return (xmin, xmax, ymin, ymax, pin_xs.count(xmin),
-            pin_xs.count(xmax), pin_ys.count(ymin), pin_ys.count(ymax))
+    pin count at each of those extremes, gathered in one pass."""
+    xlo = xhi = xs[pins[0]]
+    ylo = yhi = ys[pins[0]]
+    cxlo = cxhi = cylo = cyhi = 0
+    for pin in pins:
+        x, y = xs[pin], ys[pin]
+        if x < xlo:
+            xlo, cxlo = x, 1
+        elif x == xlo:
+            cxlo += 1
+        if x > xhi:
+            xhi, cxhi = x, 1
+        elif x == xhi:
+            cxhi += 1
+        if y < ylo:
+            ylo, cylo = y, 1
+        elif y == ylo:
+            cylo += 1
+        if y > yhi:
+            yhi, cyhi = y, 1
+        elif y == yhi:
+            cyhi += 1
+    return xlo, xhi, ylo, yhi, cxlo, cxhi, cylo, cyhi
 
 
 class _IncrementalHpwl:
@@ -335,10 +346,11 @@ def _anneal(rng: random.Random, sites: _SiteManager, classes: List[str],
     A move is evaluated, then committed: each touched net's proposed box
     lives in locals and reaches the tracker only if the move is
     accepted.  The body is written out inline (tracker arithmetic and
-    random draws) because it runs a hundred times per cell; integer
-    draws consume the stream exactly as ``rng.randrange``/``randint``
-    do on CPython (``Random._randbelow_with_getrandbits``: draw
-    ``n.bit_length()`` bits, redraw while ≥ n).
+    random draws; only a rescan calls ``_bbox``) because it runs a
+    hundred times per cell; integer draws consume the stream exactly as
+    ``rng.randrange``/``randint`` do on CPython
+    (``Random._randbelow_with_getrandbits``: draw ``n.bit_length()``
+    bits, redraw while ≥ n).
     """
     cols, rows = sites.grid.cols, sites.grid.rows
     span = max(cols, rows)
@@ -445,33 +457,8 @@ def _anneal(rng: random.Random, sites: _SiteManager, classes: List[str],
                 stale = stale or cyhi <= 0
             if stale:
                 rescans += 1
-                pins = pins_of[net]
-                if len(pins) > SMALL_NET:
-                    xlo, xhi, ylo, yhi, cxlo, cxhi, cylo, cyhi = \
-                        _bbox(pins, xs, ys)
-                else:
-                    # One pass gathers both extremes and their counts.
-                    xlo = xhi = xs[pins[0]]
-                    ylo = yhi = ys[pins[0]]
-                    cxlo = cxhi = cylo = cyhi = 0
-                    for pin in pins:
-                        x, y = xs[pin], ys[pin]
-                        if x < xlo:
-                            xlo, cxlo = x, 1
-                        elif x == xlo:
-                            cxlo += 1
-                        if x > xhi:
-                            xhi, cxhi = x, 1
-                        elif x == xhi:
-                            cxhi += 1
-                        if y < ylo:
-                            ylo, cylo = y, 1
-                        elif y == ylo:
-                            cylo += 1
-                        if y > yhi:
-                            yhi, cyhi = y, 1
-                        elif y == yhi:
-                            cyhi += 1
+                xlo, xhi, ylo, yhi, cxlo, cxhi, cylo, cyhi = _bbox(
+                    pins_of[net], xs, ys)
             delta += xhi - xlo + yhi - ylo - old_span
             proposal.append((net, xlo, xhi, ylo, yhi, cxlo, cxhi, cylo,
                              cyhi))
