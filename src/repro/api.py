@@ -14,19 +14,17 @@ construction path that replaced them:
   submissions from different tenants onto one in-flight computation.
 * :func:`submit` — runs a spec through the registered *runner* for its
   kind and returns a :class:`JobResult` (itself Report-conforming),
-  carrying the producer's report, a consolidated :class:`ExitCode` and
-  the live artifact (HLS project, flow report, run list...).
+  carrying the producer's report and a consolidated :class:`ExitCode`.
 * :class:`ExitCode` — the one documented exit-code enum.  The CLI
   returns these values; the service maps them onto HTTP statuses via
   :func:`http_status`.
 
-Each producer's legacy entry point (``repro.hls.synthesize``,
+Each producer's entry point (``repro.hls.synthesize``,
 ``NXmapProject.run_all``, ``Eucalyptus.sweep``, ``Campaign.run``,
-``MegaCampaign.run``) is now a thin shim that builds a ``JobSpec`` and
-routes through :func:`submit`, passing its live objects (netlists,
-campaign closures, component libraries) through the context's
-``resources`` side-channel while their content fingerprints go into
-``params`` so the content key stays honest.
+``MegaCampaign.run``) is the implementation itself.  The built-in
+runners are thin adapters: each builds the producer's live object from
+``spec.params`` and calls that entry point, so a direct call and the
+equivalent submitted spec run the same code.
 
 Runners for new job kinds can be registered with :func:`register_kind`
 (the service's test suite registers synthetic slow/failing kinds this
@@ -171,12 +169,11 @@ class JobSpec:
 
 @dataclass
 class JobContext:
-    """How to run a job: execution knobs plus live resources.
+    """How to run a job: the execution knobs a runner hands its producer.
 
-    ``resources`` is the side-channel for objects that cannot travel in
-    ``params`` (netlists, campaign closures, component libraries);
-    legacy shims put their ``self`` here, while service-side submissions
-    leave it empty and the runner reconstructs everything from params.
+    Everything that determines the result travels in the spec's
+    ``params``; the context only says how to compute it (parallelism,
+    retries, progress, telemetry, caching).
     """
 
     jobs: int = 1
@@ -186,23 +183,19 @@ class JobContext:
     progress: Optional[Callable[[int, int], None]] = None
     tracer: Optional[Tracer] = None
     cache: Optional[FlowCache] = None
-    resources: Dict[str, Any] = field(default_factory=dict)
 
 
 @dataclass
 class JobResult:
     """Outcome of one submitted job (conforms to the Report protocol).
 
-    ``report`` is the producer's own Report object; ``artifact`` is the
-    richer live object callers of the legacy entry points expect (the
-    HLS project, the runs list...).  ``exit_code`` is the consolidated
-    verdict.
+    ``report`` is the producer's own Report object; ``exit_code`` is the
+    consolidated verdict.
     """
 
     spec: JobSpec
     report: Any
     exit_code: ExitCode = ExitCode.OK
-    artifact: Any = None
     key: str = ""
     wall_s: float = 0.0
 
@@ -227,7 +220,6 @@ class JobOutcome:
 
     report: Any
     exit_code: ExitCode = ExitCode.OK
-    artifact: Any = None
 
 
 Runner = Callable[[JobSpec, JobContext], JobOutcome]
@@ -261,9 +253,8 @@ def submit(spec: JobSpec, context: Optional[JobContext] = None,
            **options: Any) -> JobResult:
     """Run ``spec`` through its kind's runner and return the result.
 
-    The one facade every producer path routes through: CLI subcommands,
-    the job service's workers and the legacy entry-point shims all call
-    this.  ``options`` are :class:`JobContext` fields for convenience
+    The job service's workers run every job through this facade.
+    ``options`` are :class:`JobContext` fields for convenience
     (``submit(spec, cache=..., jobs=4)``).  Producer exceptions
     propagate unchanged — the service layer is what turns them into
     failed-job states.
@@ -282,7 +273,6 @@ def submit(spec: JobSpec, context: Optional[JobContext] = None,
     outcome = runner(spec, context)
     return JobResult(spec=spec, report=outcome.report,
                      exit_code=outcome.exit_code,
-                     artifact=outcome.artifact,
                      key=spec.content_key(),
                      wall_s=time.perf_counter() - start)
 
@@ -376,65 +366,85 @@ def _device_from(value: Any, grid_luts: Optional[int] = None):
     return device
 
 
+def _project_from(spec: JobSpec, ctx: JobContext):
+    """The NXmapProject a ``flow`` or ``eco`` spec describes.
+
+    The design is ``synth_cells``/[``synth_seed``] (a random netlist) or
+    ``component``/[``width``, ``stages``], on [``device`` (name or
+    asdict), ``grid_luts``].
+    """
+    from .fabric.nxmap import NXmapProject
+    params = spec.params
+    if "synth_cells" in params:
+        from .fabric.synthesis import synthesize_random
+        netlist = synthesize_random(int(params["synth_cells"]),
+                                    seed=params.get("synth_seed", 7))
+    else:
+        from .fabric.synthesis import synthesize_component
+        _require(params, "component")
+        netlist = synthesize_component(params["component"],
+                                       params.get("width", 16),
+                                       params.get("stages", 0))
+    device = _device_from(params.get("device", "NG-ULTRA"),
+                          params.get("grid_luts"))
+    return NXmapProject(netlist, device, seed=spec.seed,
+                        tracer=ctx.tracer, cache=ctx.cache)
+
+
+def _eco_exit_code(report) -> ExitCode:
+    """An ECO whose edited design left connections unrouted failed."""
+    routing = report.flow.routing
+    return ExitCode.FAILURE if routing is not None \
+        and routing.failed_connections else ExitCode.OK
+
+
+def _campaign_from(spec: JobSpec):
+    from .radhard.scenarios import build_scenario
+    _require(spec.params, "scenario")
+    factory_params = dict(spec.params.get("scenario_params") or {})
+    try:
+        return build_scenario(spec.params["scenario"], **factory_params)
+    except KeyError as error:
+        raise JobSpecError(str(error.args[0]))
+    except TypeError as error:
+        raise JobSpecError(f"bad scenario_params: {error}")
+
+
 @register_kind("hls")
 def _run_hls(spec: JobSpec, ctx: JobContext) -> JobOutcome:
     """params: source, top, [clock_ns, opt_level, scheduling,
-    axi_read_latency, library (fingerprint — live object travels in
-    ``ctx.resources['library']``)]."""
-    from .hls.flow import synthesize_pipeline
+    axi_read_latency] — :func:`repro.hls.synthesize` with the default
+    component library."""
+    from .hls.flow import synthesize
     params = spec.params
     _require(params, "source", "top")
-    project = synthesize_pipeline(
+    project = synthesize(
         params["source"], params["top"],
         clock_ns=params.get("clock_ns", 10.0),
         opt_level=params.get("opt_level", 2),
-        library=ctx.resources.get("library"),
         scheduling=params.get("scheduling", "list"),
         axi_read_latency=params.get("axi_read_latency"),
         tracer=ctx.tracer, cache=ctx.cache)
-    return JobOutcome(report=HlsJobReport.from_project(project),
-                      artifact=project)
+    return JobOutcome(report=HlsJobReport.from_project(project))
 
 
 @register_kind("flow")
 def _run_flow(spec: JobSpec, ctx: JobContext) -> JobOutcome:
-    """params: component/width/stages + device (name or asdict) +
-    [grid_luts, target_clock_ns, effort, channel_width] — or a live
-    project/netlist in ``ctx.resources``."""
-    from .exec.cancel import check_cancelled
+    """params: the design (see :func:`_project_from`) + [target_clock_ns,
+    effort, channel_width] — :meth:`NXmapProject.run_all`."""
     params = spec.params
-    project = ctx.resources.get("project")
-    if project is None:
-        from .fabric.nxmap import NXmapProject
-        netlist = ctx.resources.get("netlist")
-        if netlist is None:
-            from .fabric.synthesis import synthesize_component
-            _require(params, "component")
-            netlist = synthesize_component(params["component"],
-                                           params.get("width", 16),
-                                           params.get("stages", 0))
-        device = _device_from(params.get("device", "NG-ULTRA"),
-                              params.get("grid_luts"))
-        project = NXmapProject(netlist, device, seed=spec.seed,
-                               tracer=ctx.tracer, cache=ctx.cache)
-    target_clock_ns = params.get("target_clock_ns", 10.0)
-    project.run_place(effort=params.get("effort", 1.0))
-    check_cancelled()
-    project.run_route(channel_width=params.get("channel_width", 16))
-    check_cancelled()
-    project.run_sta(target_clock_ns=target_clock_ns)
-    check_cancelled()
-    project.run_bitstream()
-    return JobOutcome(report=project.report(target_clock_ns),
-                      artifact=project)
+    report = _project_from(spec, ctx).run_all(
+        target_clock_ns=params.get("target_clock_ns", 10.0),
+        effort=params.get("effort", 1.0),
+        channel_width=params.get("channel_width", 16))
+    return JobOutcome(report=report)
 
 
 @register_kind("eco")
 def _run_eco(spec: JobSpec, ctx: JobContext) -> JobOutcome:
-    """params: delta (canonical op list) + the base design — a live
-    project/netlist in ``ctx.resources`` or ``component``/``width``/
-    ``stages`` or ``synth_cells``/``synth_seed`` params — plus
-    [device, grid_luts, target_clock_ns, effort, channel_width].
+    """params: delta (canonical op list) + the base design (see
+    :func:`_project_from`) + [target_clock_ns, effort, channel_width]
+    — :meth:`EcoFlow.run` on the freshly built base project.
 
     The base flow's cached stages are reused when the cache holds them
     and recomputed cold otherwise; either way the ECO stage keys chain
@@ -450,27 +460,7 @@ def _run_eco(spec: JobSpec, ctx: JobContext) -> JobOutcome:
         delta = NetlistDelta.from_json(params["delta"])
     except DeltaError as error:
         raise JobSpecError(f"bad eco delta: {error}")
-    project = ctx.resources.get("project")
-    if project is None:
-        from .fabric.nxmap import NXmapProject
-        netlist = ctx.resources.get("netlist")
-        if netlist is None:
-            if "synth_cells" in params:
-                from .fabric.synthesis import synthesize_random
-                netlist = synthesize_random(
-                    int(params["synth_cells"]),
-                    seed=params.get("synth_seed", 7))
-            else:
-                from .fabric.synthesis import synthesize_component
-                _require(params, "component")
-                netlist = synthesize_component(params["component"],
-                                               params.get("width", 16),
-                                               params.get("stages", 0))
-        device = _device_from(params.get("device", "NG-ULTRA"),
-                              params.get("grid_luts"))
-        project = NXmapProject(netlist, device, seed=spec.seed,
-                               tracer=ctx.tracer, cache=ctx.cache)
-    flow = EcoFlow(project, delta, tracer=ctx.tracer)
+    flow = EcoFlow(_project_from(spec, ctx), delta, tracer=ctx.tracer)
     try:
         report = flow.run(
             target_clock_ns=params.get("target_clock_ns", 10.0),
@@ -478,16 +468,13 @@ def _run_eco(spec: JobSpec, ctx: JobContext) -> JobOutcome:
             channel_width=params.get("channel_width", 16))
     except (DeltaError, NetlistError, FlowError) as error:
         raise JobSpecError(f"eco delta not applicable: {error}")
-    routing = report.flow.routing
-    code = ExitCode.FAILURE if routing is not None \
-        and routing.failed_connections else ExitCode.OK
-    return JobOutcome(report=report, exit_code=code, artifact=flow)
+    return JobOutcome(report=report, exit_code=_eco_exit_code(report))
 
 
 @register_kind("characterize")
 def _run_characterize(spec: JobSpec, ctx: JobContext) -> JobOutcome:
     """params: device (name or asdict) + [grid_luts, effort, components,
-    widths, stages] — or a live Eucalyptus in ``ctx.resources['tool']``."""
+    widths, stages] — :meth:`Eucalyptus.sweep`."""
     from .hls.characterization.eucalyptus import (
         DEFAULT_STAGES,
         DEFAULT_WIDTHS,
@@ -495,75 +482,54 @@ def _run_characterize(spec: JobSpec, ctx: JobContext) -> JobOutcome:
         SweepReport,
     )
     params = spec.params
-    tool = ctx.resources.get("tool")
-    if tool is None:
-        device = _device_from(params.get("device", "NG-ULTRA"),
-                              params.get("grid_luts"))
-        tool = Eucalyptus(device=device, seed=spec.seed,
-                          effort=params.get("effort", 0.3),
-                          tracer=ctx.tracer, cache=ctx.cache)
-    runs = tool._sweep_impl(
+    device = _device_from(params.get("device", "NG-ULTRA"),
+                          params.get("grid_luts"))
+    tool = Eucalyptus(device=device, seed=spec.seed,
+                      effort=params.get("effort", 0.3),
+                      tracer=ctx.tracer, cache=ctx.cache)
+    runs = tool.sweep(
         components=params.get("components"),
-        widths=tuple(params.get("widths", DEFAULT_WIDTHS)),
-        stages=tuple(params.get("stages", DEFAULT_STAGES)),
+        widths=params.get("widths", DEFAULT_WIDTHS),
+        stages=params.get("stages", DEFAULT_STAGES),
         jobs=ctx.jobs, backend=ctx.backend, timeout_s=ctx.timeout_s,
         retries=ctx.retries, progress=ctx.progress)
-    report = SweepReport(device=tool.device.name, effort=tool.effort,
-                         runs=list(runs))
-    return JobOutcome(report=report, artifact=runs)
-
-
-def _campaign_from(spec: JobSpec, ctx: JobContext):
-    campaign = ctx.resources.get("campaign")
-    if campaign is not None:
-        return campaign
-    from .radhard.scenarios import build_scenario
-    _require(spec.params, "scenario")
-    factory_params = dict(spec.params.get("scenario_params") or {})
-    try:
-        return build_scenario(spec.params["scenario"], **factory_params)
-    except KeyError as error:
-        raise JobSpecError(str(error.args[0]))
-    except TypeError as error:
-        raise JobSpecError(f"bad scenario_params: {error}")
+    return JobOutcome(report=SweepReport(device=device.name,
+                                         effort=tool.effort, runs=runs))
 
 
 @register_kind("seu")
 def _run_seu(spec: JobSpec, ctx: JobContext) -> JobOutcome:
-    """params: scenario (factory id) + runs + [scenario_params] — or a
-    live Campaign in ``ctx.resources['campaign']``."""
+    """params: scenario (factory id) + runs + [scenario_params] —
+    :meth:`Campaign.run`."""
     params = spec.params
     _require(params, "runs")
-    campaign = _campaign_from(spec, ctx)
-    report = campaign._run_impl(
+    report = _campaign_from(spec).run(
         int(params["runs"]), seed=spec.seed, jobs=ctx.jobs,
         backend=ctx.backend, timeout_s=ctx.timeout_s,
         retries=ctx.retries, progress=ctx.progress,
         tracer=ctx.tracer, cache=ctx.cache)
     code = ExitCode.FAILURE if report.counts.get("crash", 0) \
         else ExitCode.OK
-    return JobOutcome(report=report, exit_code=code, artifact=report)
+    return JobOutcome(report=report, exit_code=code)
 
 
 @register_kind("mega")
 def _run_mega(spec: JobSpec, ctx: JobContext) -> JobOutcome:
     """params: scenario + runs + [shards, shard_size, stop_ci,
-    stop_outcomes, min_stop_shards, scenario_params] — or live
-    Campaign/MegaCampaign objects in ``ctx.resources``."""
-    from .radhard.mega import FAILURE_OUTCOMES, MegaCampaign
+    stop_outcomes, min_stop_shards, scenario_params] —
+    :meth:`MegaCampaign.run`."""
+    from .radhard.mega import MegaCampaign
     params = spec.params
     _require(params, "runs")
-    mega = ctx.resources.get("mega")
-    if mega is None:
-        mega = MegaCampaign(_campaign_from(spec, ctx),
-                            cache=ctx.cache, tracer=ctx.tracer)
-    stop_outcomes = tuple(params.get("stop_outcomes") or FAILURE_OUTCOMES)
-    result = mega._run_impl(
+    mega = MegaCampaign(_campaign_from(spec), cache=ctx.cache,
+                        tracer=ctx.tracer)
+    result = mega.run(
         int(params["runs"]), seed=spec.seed, jobs=ctx.jobs,
         backend=ctx.backend, shards=params.get("shards"),
         shard_size=params.get("shard_size"),
         timeout_s=ctx.timeout_s, retries=ctx.retries,
-        stop_ci=params.get("stop_ci"), stop_outcomes=stop_outcomes,
+        stop_ci=params.get("stop_ci"),
+        stop_outcomes=params.get("stop_outcomes") or (),
         min_stop_shards=params.get("min_stop_shards", 2),
         progress=ctx.progress)
     if not result.reached_target:
@@ -572,7 +538,7 @@ def _run_mega(spec: JobSpec, ctx: JobContext) -> JobOutcome:
         code = ExitCode.FAILURE
     else:
         code = ExitCode.OK
-    return JobOutcome(report=result, exit_code=code, artifact=result)
+    return JobOutcome(report=result, exit_code=code)
 
 
 __all__ = [

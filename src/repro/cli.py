@@ -189,7 +189,7 @@ def _cmd_eco(args) -> int:
     import json
     import time
 
-    from .api import JobSpec, JobSpecError, _device_from, submit
+    from .api import JobSpecError, _device_from, _eco_exit_code
     from .core.report import report_json_text
     from .fabric.eco import DeltaError, EcoFlow, NetlistDelta, \
         random_delta
@@ -205,13 +205,9 @@ def _cmd_eco(args) -> int:
         if args.synth_cells:
             netlist = synthesize_random(args.synth_cells,
                                         seed=args.synth_seed)
-            design_params = {"synth_cells": args.synth_cells,
-                             "synth_seed": args.synth_seed}
         else:
             netlist = synthesize_component(args.component, args.width,
                                            args.stages)
-            design_params = {"component": args.component,
-                             "width": args.width, "stages": args.stages}
         device = _device_from(args.device, args.grid_luts)
         if args.delta:
             delta = NetlistDelta.from_json(
@@ -229,21 +225,18 @@ def _cmd_eco(args) -> int:
     # The interactive scenario: the base design is already implemented
     # when the edit arrives, so the base flow (and its full-STA state)
     # is built outside the timed edit loop.
-    EcoFlow(project, delta, tracer=tracer).prepare_base(
-        effort=args.effort, channel_width=args.channel_width)
-    spec = JobSpec(kind="eco", seed=options.seed, params=dict(
-        design_params, device=args.device, grid_luts=args.grid_luts,
-        delta=delta.canonical(), target_clock_ns=args.clock,
-        effort=args.effort, channel_width=args.channel_width))
+    flow = EcoFlow(project, delta, tracer=tracer)
+    flow.prepare_base(effort=args.effort,
+                      channel_width=args.channel_width)
     start = time.perf_counter()
     try:
-        result = submit(spec, tracer=tracer, cache=cache,
-                        resources={"project": project})
-    except (JobSpecError, DeltaError, NetlistError, FlowError) as error:
-        print(f"error: {error}", file=sys.stderr)
+        report = flow.run(target_clock_ns=args.clock, effort=args.effort,
+                          channel_width=args.channel_width)
+    except (DeltaError, NetlistError, FlowError) as error:
+        print(f"error: eco delta not applicable: {error}",
+              file=sys.stderr)
         return ExitCode.USAGE
     eco_s = time.perf_counter() - start
-    report = result.report
     print(f"eco: {report.summary()}", file=sys.stderr)
     print(f"eco wall time {eco_s:.3f} s", file=sys.stderr)
 
@@ -292,7 +285,7 @@ def _cmd_eco(args) -> int:
         print(f"report written to {args.report}", file=sys.stderr)
     else:
         print(wire)
-    return ExitCode(result.exit_code)
+    return _eco_exit_code(report)
 
 
 def _cmd_characterize(args) -> int:

@@ -4,7 +4,7 @@ The job service must be able to abandon a queued or running job without
 killing worker processes mid-write.  The mechanism is a context-local
 :class:`CancelToken`: the scheduler installs one around a job with
 :func:`cancel_scope`, producer loops (the parallel engine between
-chunks, the flow runner between P&R stages) call
+chunks, ``NXmapProject.run_all`` between P&R stages) call
 :func:`check_cancelled` at safe points, and anyone holding the token —
 typically an HTTP cancel request on another thread — trips it with
 ``token.cancel()``.  Tripping raises :class:`ExecCancelled` at the next

@@ -322,22 +322,20 @@ class NXmapProject:
                 effort: float = 1.0, channel_width: int = 16) -> FlowReport:
         """Complete flow: place → route → STA → bitstream → report.
 
-        Thin shim over the unified job facade (:func:`repro.api.submit`,
-        kind ``"flow"``): the spec carries netlist/device content
-        fingerprints plus the stage options, and this live project rides
-        in the context's resources so the runner drives *these* stage
-        methods (each stage keeps its own PR-4 cache lookups).
+        The flow checks its cancel scope
+        (:func:`repro.exec.cancel.check_cancelled`) between stages, so a
+        cancelled job stops at the next stage boundary with the finished
+        stages kept on the project.
         """
-        from ..api import JobSpec, submit
-        from ..cache import device_fingerprint, netlist_fingerprint
-        spec = JobSpec(kind="flow", params={
-            "netlist": netlist_fingerprint(self.netlist),
-            "device": device_fingerprint(self.device),
-            "target_clock_ns": target_clock_ns, "effort": effort,
-            "channel_width": channel_width}, seed=self.seed)
-        result = submit(spec, tracer=self.tracer, cache=self.cache,
-                        resources={"project": self})
-        return result.report
+        from ..exec.cancel import check_cancelled
+        self.run_place(effort=effort)
+        check_cancelled()
+        self.run_route(channel_width=channel_width)
+        check_cancelled()
+        self.run_sta(target_clock_ns=target_clock_ns)
+        check_cancelled()
+        self.run_bitstream()
+        return self.report(target_clock_ns)
 
     def report(self, target_clock_ns: Optional[float] = None) -> FlowReport:
         stats = self.netlist.stats()

@@ -100,14 +100,9 @@ class RoutingResult:
         routes = {net: [[(int(t[0]), int(t[1])) for t in path]
                         for path in paths]
                   for net, paths in payload["routes"].items()}
-        if "edge_usage" in payload:
-            edge_usage = {((int(a[0]), int(a[1])), (int(b[0]), int(b[1]))):
-                          int(used)
-                          for a, b, used in payload["edge_usage"]}
-        else:
-            # Pre-v3 artifact: rebuild the occupancy map from the paths.
-            edge_usage = _usage_of_paths(
-                path for paths in routes.values() for path in paths)
+        edge_usage = {((int(a[0]), int(a[1])), (int(b[0]), int(b[1]))):
+                      int(used)
+                      for a, b, used in payload["edge_usage"]}
         return cls(
             wirelength=payload["wirelength"],
             max_congestion=payload["max_congestion"],

@@ -178,6 +178,8 @@ class Eucalyptus:
                        ) -> List[Tuple[str, int, int]]:
         """The cartesian configuration space a sweep will visit."""
         components = list(components or supported_components())
+        widths = tuple(widths)
+        all_stages = tuple(stages)
         configs: List[Tuple[str, int, int]] = []
         for component in components:
             for width in widths:
@@ -187,7 +189,7 @@ class Eucalyptus:
                 elif component in _FIXED_LATENCY:
                     stage_options = (0,)
                 else:
-                    stage_options = tuple(stages)
+                    stage_options = all_stages
                 for stage in stage_options:
                     configs.append((component, width, stage))
         return configs
@@ -208,34 +210,7 @@ class Eucalyptus:
         synthesize aborts the sweep with :class:`~repro.exec.ExecError`
         naming the configuration — characterization must be complete to
         be usable as an HLS library.
-
-        Thin shim over the unified job facade (:func:`repro.api.submit`,
-        kind ``"characterize"``); the sweep body is
-        :meth:`_sweep_impl`, driven by the runner against this live tool
-        instance from the context's resources.
         """
-        from ...api import JobSpec, submit
-        spec = JobSpec(kind="characterize", params={
-            "device": device_fingerprint(self.device),
-            "effort": self.effort,
-            "components": (list(components)
-                           if components is not None else None),
-            "widths": list(widths), "stages": list(stages)},
-            seed=self.seed)
-        result = submit(spec, jobs=jobs, backend=backend,
-                        timeout_s=timeout_s, retries=retries,
-                        progress=progress, tracer=self.tracer,
-                        cache=self.cache, resources={"tool": self})
-        return result.artifact
-
-    def _sweep_impl(self, components: Optional[Iterable[str]] = None,
-                    widths: Iterable[int] = DEFAULT_WIDTHS,
-                    stages: Iterable[int] = DEFAULT_STAGES,
-                    jobs: int = 1, backend: str = "auto",
-                    timeout_s: Optional[float] = None, retries: int = 0,
-                    progress: Optional[Callable[[int, int], None]] = None
-                    ) -> List[CharacterizationRun]:
-        """The sweep body (see :meth:`sweep` for the contract)."""
         configs = self.configurations(components, widths, stages)
 
         # Cache lookups (and later stores) happen parent-side: worker

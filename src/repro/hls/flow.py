@@ -25,7 +25,7 @@ from .backend.binding import Binding, bind
 from .backend.datapath import DatapathReport, build_datapath_report
 from .backend.fsm import FSM, build_fsm
 from .backend.scheduling import FunctionSchedule, schedule_function
-from .backend.simulate import CALL_HANDSHAKE_CYCLES, FsmdSimulator
+from .backend.simulate import CALL_HANDSHAKE_CYCLES
 from .backend.verify import verify_schedule
 from .backend.verilog import generate_fp_support_library, generate_verilog
 from .ir import Call, Module
@@ -204,34 +204,8 @@ def synthesize(source: str, top: str, clock_ns: float = 10.0,
                axi_read_latency: Optional[int] = None,
                tracer: Optional[Tracer] = None,
                cache: Optional[FlowCache] = None) -> HlsProject:
-    """Run the full HLS flow on HermesC source text.
-
-    Thin shim over the unified job facade (:func:`repro.api.submit`,
-    kind ``"hls"``): the spec carries the source/options (with the
-    component library reduced to its content fingerprint), while the
-    live library object travels through the context's resources.  The
-    pipeline itself lives in :func:`synthesize_pipeline`.
-    """
-    from ..api import JobSpec, submit
-    spec = JobSpec(kind="hls", params={
-        "source": source, "top": top, "clock_ns": clock_ns,
-        "opt_level": opt_level, "scheduling": scheduling,
-        "axi_read_latency": axi_read_latency,
-        "library": (library_fingerprint(library)
-                    if library is not None else None)})
-    resources = {"library": library} if library is not None else {}
-    result = submit(spec, tracer=tracer, cache=cache, resources=resources)
-    return result.artifact
-
-
-def synthesize_pipeline(source: str, top: str, clock_ns: float = 10.0,
-                        opt_level: int = 2,
-                        library: Optional[ComponentLibrary] = None,
-                        scheduling: str = "list",
-                        axi_read_latency: Optional[int] = None,
-                        tracer: Optional[Tracer] = None,
-                        cache: Optional[FlowCache] = None) -> HlsProject:
-    """The HLS pipeline body (frontend → middle-end → per-function backend).
+    """Run the full HLS flow on HermesC source text (frontend →
+    middle-end → per-function backend).
 
     ``axi_read_latency`` overrides the characterized AXI round-trip cycles
     (paper §II: "memory delay estimates can also be configured to assess

@@ -227,31 +227,7 @@ class Campaign:
         runs, seed) — the execution accounting (backend/jobs/wall time)
         is restored from the cold run, so warm output is byte-identical
         to the run that populated the cache.
-
-        Thin shim over the unified job facade (:func:`repro.api.submit`,
-        kind ``"seu"``); the campaign body is :meth:`_run_impl`, driven
-        by the runner against this live campaign from the context's
-        resources (the closures themselves cannot travel as params).
         """
-        from ..api import JobSpec, submit
-        spec = JobSpec(kind="seu", params={
-            "scenario": self.name,
-            "scenario_params": self.scenario_params,
-            "upsets_per_run": self.upsets_per_run,
-            "runs": runs}, seed=seed)
-        result = submit(spec, jobs=jobs, backend=backend,
-                        timeout_s=timeout_s, retries=retries,
-                        progress=progress, tracer=tracer, cache=cache,
-                        resources={"campaign": self})
-        return result.report
-
-    def _run_impl(self, runs: int, seed: int = 1, jobs: int = 1,
-                  backend: str = "auto", timeout_s: Optional[float] = None,
-                  retries: int = 0,
-                  progress: Optional[Callable[[int, int], None]] = None,
-                  tracer: Optional[Tracer] = None,
-                  cache: Optional[FlowCache] = None) -> CampaignReport:
-        """The campaign body (see :meth:`run` for the contract)."""
         key = None
         if cache is not None:
             key = self.cache_key(runs, seed)

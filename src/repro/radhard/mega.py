@@ -266,40 +266,11 @@ class MegaCampaign:
         of 4 shards per worker is planned.  ``stop_ci`` arms early
         stopping at the given Wilson-CI half-width on the
         ``stop_outcomes`` rate (never before ``min_stop_shards`` shards
-        have folded).  ``progress`` is called as ``(folded_shards,
-        planned_shards)``.
-
-        Thin shim over the unified job facade (:func:`repro.api.submit`,
-        kind ``"mega"``); the sharded-execution body is
-        :meth:`_run_impl`, driven by the runner against this live
-        instance (its cache/tracer wiring included) from the context's
-        resources.
+        have folded; an empty ``stop_outcomes`` means the default
+        failure outcomes).  ``progress`` is called as
+        ``(folded_shards, planned_shards)``.
         """
-        from ..api import JobSpec, submit
-        spec = JobSpec(kind="mega", params={
-            "scenario": self.campaign.name,
-            "scenario_params": self.campaign.scenario_params,
-            "upsets_per_run": self.campaign.upsets_per_run,
-            "runs": runs, "shards": shards, "shard_size": shard_size,
-            "stop_ci": stop_ci, "stop_outcomes": list(stop_outcomes),
-            "min_stop_shards": min_stop_shards}, seed=seed)
-        result = submit(spec, jobs=jobs, backend=backend,
-                        timeout_s=timeout_s, retries=retries,
-                        progress=progress, tracer=self.tracer,
-                        cache=self.cache,
-                        resources={"campaign": self.campaign,
-                                   "mega": self})
-        return result.report
-
-    def _run_impl(self, runs: int, seed: int = 1, jobs: int = 1,
-                  backend: str = "auto", shards: Optional[int] = None,
-                  shard_size: Optional[int] = None,
-                  timeout_s: Optional[float] = None, retries: int = 0,
-                  stop_ci: Optional[float] = None,
-                  stop_outcomes: Tuple[str, ...] = FAILURE_OUTCOMES,
-                  min_stop_shards: int = 2,
-                  progress=None) -> MegaReport:
-        """The sharded-execution body (see :meth:`run`)."""
+        stop_outcomes = tuple(stop_outcomes) or FAILURE_OUTCOMES
         if shards is None and shard_size is None:
             shards = max(1, jobs or 1) * 4
         plan = plan_shards(runs, shards=shards, shard_size=shard_size)
@@ -355,7 +326,7 @@ class MegaCampaign:
         mega = MegaReport(report=report, runs_requested=runs, plan=plan,
                           shards=folded, stats=stats,
                           early_stopped=early_stopped, stop_ci=stop_ci,
-                          stop_outcomes=tuple(stop_outcomes),
+                          stop_outcomes=stop_outcomes,
                           wall_s=wall_s)
         if self.tracer is not None:
             self._emit_telemetry(self.tracer, mega)

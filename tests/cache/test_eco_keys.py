@@ -14,8 +14,6 @@ tests pin the three properties the interactive flow relies on:
 
 import json
 
-import pytest
-
 from repro.api import JobSpec, submit
 from repro.cache import FlowCache
 from repro.core.report import report_json_text
@@ -49,11 +47,7 @@ def eco_spec(delta, **overrides):
 
 
 def run_eco(delta, cache, jobs=1):
-    project = NXmapProject(base_netlist(), small_device(), seed=1,
-                           cache=cache)
-    result = submit(eco_spec(delta), cache=cache, jobs=jobs,
-                    resources={"project": project})
-    return result
+    return submit(eco_spec(delta), cache=cache, jobs=jobs)
 
 
 class TestDeltaChainedKeys:

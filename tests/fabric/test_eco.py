@@ -289,13 +289,6 @@ class TestDeltaRouting:
             path for paths in routing.routes.values() for path in paths)
         assert routing.edge_usage == recomputed
 
-    def test_pre_v3_payload_rebuilds_usage_from_paths(self):
-        project, placement, routing = self._placed()
-        payload = routing.to_json()
-        payload.pop("edge_usage")
-        revived = type(routing).from_json(payload)
-        assert revived.edge_usage == routing.edge_usage
-
     def test_moved_pin_invalidates_warm_tree(self):
         project, placement, routing = self._placed()
         net_name = next(name for name, paths in routing.routes.items()

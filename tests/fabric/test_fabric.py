@@ -321,6 +321,18 @@ class TestNXmapFlow:
         report = project.run_all(effort=0.2)
         assert 0 < report.utilization["luts"] <= 1
 
+    def test_cancelled_scope_stops_at_first_stage_boundary(self):
+        from repro.exec import CancelToken, ExecCancelled, cancel_scope
+        project = NXmapProject(synthesize_component("addsub", 8),
+                               small_device(), seed=2)
+        token = CancelToken()
+        token.cancel("stop")
+        with cancel_scope(token), pytest.raises(ExecCancelled):
+            project.run_all(effort=0.2)
+        # The stage that ran is kept; nothing after the checkpoint ran.
+        assert project.placement is not None
+        assert project.routing is None
+
     def test_oversize_design_rejected(self):
         from repro.fabric import FlowError
         tiny = scaled_device(NG_ULTRA, "TINY2", luts=16)
@@ -357,6 +369,14 @@ class TestEucalyptus:
         reloaded = ComponentLibrary.from_xml(xml_text)
         assert reloaded.lookup("logic", 16).luts == \
             library.lookup("logic", 16).luts
+
+    def test_configurations_accept_one_shot_iterables(self):
+        from repro.hls.characterization.eucalyptus import Eucalyptus
+        expected = Eucalyptus.configurations(["addsub", "logic"], [8, 16],
+                                             [0, 1])
+        assert Eucalyptus.configurations(
+            ["addsub", "logic"], iter([8, 16]), iter([0, 1])) == expected
+        assert len(expected) == 6      # logic is combinational-only
 
     def test_characterized_library_drives_hls(self):
         from repro.hls import synthesize

@@ -114,7 +114,6 @@ class TestSubmit:
         assert result.exit_code is ExitCode.OK
         assert isinstance(result.report, HlsJobReport)
         assert result.report.top == "scale"
-        assert result.artifact.top == "scale"      # the live project
         assert isinstance(result.report, Report)
         assert result.key == result.spec.content_key()
 
@@ -145,9 +144,11 @@ class TestSubmit:
         assert "seu" in result.summary()
 
 
-# -- legacy entry points are shims over the facade --------------------------
+# -- direct producer calls match the facade ---------------------------------
 
 class TestShimEquivalence:
+    """A direct producer call and its job kind give equal reports."""
+
     def test_synthesize_matches_facade(self):
         from repro.hls import synthesize
         direct = submit(JobSpec(kind="hls", params={
@@ -182,6 +183,34 @@ class TestShimEquivalence:
             "runs": 40, "shard_size": 10}, seed=2)).report
         assert shim.report.deterministic_json() == \
             facade.report.deterministic_json()
+
+    def test_run_all_matches_facade(self):
+        from repro.fabric.device import get_device
+        from repro.fabric.nxmap import NXmapProject
+        from repro.fabric.synthesis import synthesize_component
+        direct = NXmapProject(synthesize_component("addsub", 8, 0),
+                              get_device("NG-MEDIUM"), seed=3).run_all(
+            effort=0.2, channel_width=8)
+        facade = submit(JobSpec(kind="flow", seed=3, params={
+            "component": "addsub", "width": 8, "stages": 0,
+            "device": "NG-MEDIUM", "effort": 0.2,
+            "channel_width": 8})).report
+        assert report_json_text(direct) == report_json_text(facade)
+
+    def test_sweep_matches_facade(self):
+        from repro.fabric.device import get_device
+        from repro.hls.characterization.eucalyptus import (
+            Eucalyptus,
+            SweepReport,
+        )
+        tool = Eucalyptus(get_device("NG-MEDIUM"), effort=0.1, seed=7)
+        direct = SweepReport(device=tool.device.name, effort=tool.effort,
+                             runs=tool.sweep(["logic"], [8], [0]))
+        facade = submit(JobSpec(kind="characterize", seed=7, params={
+            "device": "NG-MEDIUM", "effort": 0.1,
+            "components": ["logic"], "widths": [8],
+            "stages": [0]})).report
+        assert report_json_text(direct) == report_json_text(facade)
 
 
 # -- versioned report wire format -------------------------------------------

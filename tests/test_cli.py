@@ -45,6 +45,28 @@ class TestCliCharacterize:
         assert library.lookup("addsub", 8).luts > 0
 
 
+class TestCliEco:
+    def test_report_matches_eco_job(self, tmp_path, capsys):
+        from repro.api import JobSpec, submit
+        from repro.core.report import report_json_text
+        from repro.fabric.eco import random_delta
+        from repro.fabric.synthesis import synthesize_component
+        report = tmp_path / "eco.json"
+        assert main(["eco", "--component", "addsub", "--width", "8",
+                     "--stages", "2", "--grid-luts", "4096",
+                     "--effort", "0.2", "--channel-width", "8",
+                     "--edit-fraction", "0.1", "--seed", "1",
+                     "--report", str(report)]) == 0
+        delta = random_delta(synthesize_component("addsub", 8, 2), 0.1,
+                             seed=3)
+        job = submit(JobSpec(kind="eco", seed=1, params={
+            "component": "addsub", "width": 8, "stages": 2,
+            "device": "NG-ULTRA", "grid_luts": 4096,
+            "delta": delta.canonical(), "target_clock_ns": 10.0,
+            "effort": 0.2, "channel_width": 8}))
+        assert report.read_text() == report_json_text(job.report)
+
+
 class TestCliBoot:
     def test_boot_nominal(self, capsys):
         assert main(["boot"]) == 0
