@@ -192,30 +192,6 @@ def check_comb_loops(netlist: Netlist, emit) -> None:
              + " -> ".join(path))
 
 
-@rule("netlist.stale-placement", layer="netlist",
-      severity=Severity.WARNING,
-      fix_hint="keep placement in PlacementResult.locations and pass it "
-               "to downstream stages explicitly")
-def check_stale_placement(netlist: Netlist, emit) -> None:
-    """Cells carrying location annotations (stage-purity violation).
-
-    Flow stages must treat the input netlist as immutable: a placer
-    that writes tiles back onto cells creates a side channel later
-    stages silently depend on, which both breaks stage re-ordering and
-    poisons content-addressed stage reuse (a warm run restoring a
-    cached ``PlacementResult`` would never re-create the annotations,
-    so STA would see a different netlist than the cold run did).
-    """
-    annotated = [cell.name for cell in netlist.cells.values()
-                 if cell.location is not None]
-    if annotated:
-        sample = ", ".join(sorted(annotated)[:4])
-        emit(f"cell:{sorted(annotated)[0]}",
-             f"{len(annotated)} cell(s) carry placement annotations "
-             f"({sample}...) — placement state must flow through "
-             f"PlacementResult.locations, not the netlist")
-
-
 @rule("netlist.tmr-unvoted", layer="netlist", severity=Severity.WARNING,
       fix_hint="add a voter cell reading all three replica outputs")
 def check_tmr_voters(netlist: Netlist, emit) -> None:
@@ -253,8 +229,18 @@ def check_tmr_voters(netlist: Netlist, emit) -> None:
 
 
 def error_messages(netlist: Netlist) -> List[str]:
-    """ERROR-level findings as plain strings (``Netlist.validate``)."""
+    """ERROR-level findings as plain strings (``Netlist.validate``).
+
+    Runs only the ERROR-severity netlist rules: the warning and info
+    rules could only add findings this function drops, and findings
+    sort by severity first, so the messages and their order are those
+    of a full ``netlist.*`` run.
+    """
     from ..analyzer import AnalysisTarget, Analyzer
-    report = Analyzer(rules=["netlist.*"]).run(
+    from ..registry import DEFAULT_REGISTRY
+    rules = [registered.rule_id for registered
+             in DEFAULT_REGISTRY.select(["netlist.*"])
+             if registered.severity is Severity.ERROR]
+    report = Analyzer(rules=rules).run(
         [AnalysisTarget("netlist", netlist.name, netlist)])
     return report.messages(Severity.ERROR)

@@ -74,9 +74,7 @@ def netlist_fingerprint(netlist) -> str:
     """Digest of a technology netlist's logical content.
 
     Covers cells (kind, connectivity, init words) and the port lists —
-    but *not* placement annotations or the netlist's display name, so a
-    flow stage that leaks location state onto cells cannot silently fork
-    the key space (see the ``netlist.stale-placement`` lint rule).
+    but *not* the netlist's display name.
     """
     material = {
         "cells": [

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .device import LUTS_PER_TILE
-from .netlist import BRAM, CARRY, DFF, DSP, LUT4, Netlist
+from .netlist import BRAM, CARRY, DFF, DSP, LUT4, Cell, Netlist
 
 # Per-tile configuration budget (bits).
 _LUT_INIT_BITS = 16
@@ -24,6 +24,9 @@ _FF_CFG_BITS = 2
 _ROUTING_BITS = 64
 TILE_CONFIG_BITS = (LUTS_PER_TILE * (_LUT_INIT_BITS + _FF_CFG_BITS)
                     + _ROUTING_BITS)
+# Bit offset, within a tile, of the macro enable and routing bits.
+_ROUTING_OFFSET = LUTS_PER_TILE * (_LUT_INIT_BITS + _FF_CFG_BITS)
+_TILE_BYTES = TILE_CONFIG_BITS // 8
 
 
 class BitstreamError(Exception):
@@ -144,10 +147,44 @@ class Bitstream:
                   + self.grid[0].to_bytes(2, "little")
                   + self.grid[1].to_bytes(2, "little")
                   + frame_bytes.to_bytes(4, "little"))
-        body = b""
-        for frame in self.frames:
-            body += frame.crc.to_bytes(4, "little") + bytes(frame.data)
+        body = b"".join(frame.crc.to_bytes(4, "little") + bytes(frame.data)
+                        for frame in self.frames)
         return header + body
+
+
+def _write_cell(bitstream: Bitstream, tile: Tuple[int, int], cell: Cell,
+                slot: int) -> None:
+    """Write one placed cell's configuration into its tile: a LUT's init
+    table into LUT ``slot``, a register's or a macro's enable bit, and
+    the essential bits they own (plus the tile's routing share)."""
+    col, row = tile
+    tile_base = row * TILE_CONFIG_BITS
+    data = bitstream.frames[col].data
+    essential = bitstream.essential
+    global_base = col * bitstream.frame_bits + tile_base
+    if cell.kind in (LUT4, CARRY):
+        slot %= LUTS_PER_TILE
+        offset = tile_base + slot * _LUT_INIT_BITS
+        init = cell.init & 0xFFFF
+        for bit in range(_LUT_INIT_BITS):
+            if (init >> bit) & 1:
+                byte, sub = divmod(offset + bit, 8)
+                data[byte] |= (1 << sub)
+            essential.add(global_base + slot * _LUT_INIT_BITS + bit)
+    elif cell.kind == DFF:
+        base = tile_base + LUTS_PER_TILE * _LUT_INIT_BITS
+        byte, sub = divmod(base, 8)
+        data[byte] |= (1 << sub)
+        essential.add(global_base + LUTS_PER_TILE * _LUT_INIT_BITS)
+    elif cell.kind in (DSP, BRAM):
+        base = tile_base + _ROUTING_OFFSET
+        for bit in range(16):
+            essential.add(global_base + _ROUTING_OFFSET + bit)
+        byte, sub = divmod(base, 8)
+        data[byte] |= (1 << sub)
+    # Routing share: mark a slice of the tile routing bits essential.
+    for bit in range(8):
+        essential.add(global_base + _ROUTING_OFFSET + bit)
 
 
 def generate_bitstream(netlist: Netlist, locations: Dict[str, Tuple[int, int]],
@@ -157,6 +194,7 @@ def generate_bitstream(netlist: Netlist, locations: Dict[str, Tuple[int, int]],
 
     Used LUTs write their init tables into the owning tile's config space;
     placed cells mark their bits (plus a routing share) as essential.
+    A tile's LUT slots are handed out in ``netlist.cells`` order.
     """
     cols, rows = grid
     frame_bytes = (rows * TILE_CONFIG_BITS + 7) // 8
@@ -171,44 +209,53 @@ def generate_bitstream(netlist: Netlist, locations: Dict[str, Tuple[int, int]],
         tile = locations.get(name)
         if tile is None:
             continue
-        col, row = tile
-        tile_base = row * TILE_CONFIG_BITS
-        frame = bitstream.frames[col]
-        global_base = col * bitstream.frame_bits + tile_base
+        slot = 0
         if cell.kind in (LUT4, CARRY):
             slot = slot_of_tile.get(tile, 0)
             slot_of_tile[tile] = slot + 1
-            slot %= LUTS_PER_TILE
-            offset = tile_base + slot * _LUT_INIT_BITS
-            init = cell.init & 0xFFFF
-            for bit in range(_LUT_INIT_BITS):
-                if (init >> bit) & 1:
-                    byte, sub = divmod(offset + bit, 8)
-                    frame.data[byte] |= (1 << sub)
-                bitstream.essential.add(global_base
-                                        + slot * _LUT_INIT_BITS + bit)
-        elif cell.kind == DFF:
-            base = tile_base + LUTS_PER_TILE * _LUT_INIT_BITS
-            byte, sub = divmod(base, 8)
-            frame.data[byte] |= (1 << sub)
-            bitstream.essential.add(global_base
-                                    + LUTS_PER_TILE * _LUT_INIT_BITS)
-        elif cell.kind in (DSP, BRAM):
-            base = tile_base + LUTS_PER_TILE * (_LUT_INIT_BITS + _FF_CFG_BITS)
-            for bit in range(16):
-                bitstream.essential.add(global_base + LUTS_PER_TILE
-                                        * (_LUT_INIT_BITS + _FF_CFG_BITS)
-                                        + bit)
-            byte, sub = divmod(base, 8)
-            frame.data[byte] |= (1 << sub)
-        # Routing share: mark a slice of the tile routing bits essential.
-        routing_base = (tile_base + LUTS_PER_TILE
-                        * (_LUT_INIT_BITS + _FF_CFG_BITS))
-        for bit in range(8):
-            bitstream.essential.add(global_base + LUTS_PER_TILE
-                                    * (_LUT_INIT_BITS + _FF_CFG_BITS) + bit)
-        del routing_base
+        _write_cell(bitstream, tile, cell, slot)
     for frame in bitstream.frames:
         frame.seal()
+    bitstream.snapshot_golden()
+    return bitstream
+
+
+def patch_bitstream(base: Bitstream,
+                    tiles: Mapping[Tuple[int, int], Sequence[Cell]]
+                    ) -> Bitstream:
+    """``base`` with each given tile rewritten from scratch.
+
+    ``tiles`` maps a tile to the cells placed on it, in ``netlist.cells``
+    order.  A tile's configuration depends on nothing else (its LUT
+    slots follow that order), so when ``tiles`` holds every tile whose
+    cells or their config words differ from ``base``'s design, the
+    result equals :func:`generate_bitstream` of the edited design byte
+    for byte — frames, CRCs, essential set and golden copy — at the cost
+    of the touched tiles plus a copy of ``base``.
+    """
+    bitstream = Bitstream(
+        device_name=base.device_name, grid=base.grid,
+        frames=[Frame(index=frame.index, data=bytearray(frame.data),
+                      crc=frame.crc) for frame in base.frames],
+        essential=set(base.essential))
+    frame_bits = bitstream.frame_bits
+    columns: Set[int] = set()
+    for tile, cells in tiles.items():
+        col, row = tile
+        # Tiles are whole bytes (TILE_CONFIG_BITS is a multiple of 8).
+        start = row * TILE_CONFIG_BITS // 8
+        bitstream.frames[col].data[start:start + _TILE_BYTES] = \
+            bytes(_TILE_BYTES)
+        first = col * frame_bits + row * TILE_CONFIG_BITS
+        bitstream.essential.difference_update(
+            range(first, first + TILE_CONFIG_BITS))
+        slot = 0
+        for cell in cells:
+            _write_cell(bitstream, tile, cell, slot)
+            if cell.kind in (LUT4, CARRY):
+                slot += 1
+        columns.add(col)
+    for col in columns:
+        bitstream.frames[col].seal()
     bitstream.snapshot_golden()
     return bitstream

@@ -41,21 +41,25 @@ counters (the same four the cold placer reports).
 from __future__ import annotations
 
 import random
+from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Mapping, Optional, \
-    Sequence, Set, Tuple, Union
+from itertools import islice
+from typing import Any, Callable, Dict, FrozenSet, List, Mapping, \
+    Optional, Sequence, Set, Tuple, Union
 
 from ..cache import content_key
 from ..telemetry import Tracer
+from .bitstream import Bitstream, generate_bitstream, patch_bitstream
 from .device import Device
-from .netlist import CELL_KINDS, LUT4, Cell, Netlist, NetlistError
+from .netlist import BRAM, CARRY, CELL_KINDS, DFF, DSP, LUT4, Cell, Net, \
+    Netlist, NetlistError
 from .nxmap import FlowError, FlowReport, NXmapProject
 from .placement import PlacementResult, _anneal, _emit_counters, _Grid, \
     _IncrementalHpwl, _net_pins, _SiteManager, total_hpwl
-from .routing import RoutingResult, route
-from .timing import StaState, TimingReport, analyze_timing_cone, \
-    analyze_timing_state
+from .routing import RoutingResult, WarmRoutes, reroute
+from .timing import StaState, TimingReport, _cone, _levels, \
+    _net_route_lengths, analyze_timing_state
 
 #: Bumped whenever the ECO kernels (warm-start placement, delta routing
 #: orchestration, cone merge) change their results; folded into every
@@ -144,10 +148,10 @@ class RemoveCell:
             raise DeltaError(f"remove_cell: unknown cell {self.name!r}")
         nets: Set[str] = set()
         for net_name in cell.inputs:
-            netlist.nets[net_name].sinks.remove(self.name)
+            netlist.writable_net(net_name).sinks.remove(self.name)
             nets.add(net_name)
         if cell.output is not None:
-            netlist.nets[cell.output].driver = None
+            netlist.writable_net(cell.output).driver = None
             nets.add(cell.output)
         return {self.name}, nets
 
@@ -168,10 +172,9 @@ class ResizeCell:
         return {"op": self.op, "name": self.name, "init": self.init}
 
     def apply_to(self, netlist: Netlist) -> Tuple[Set[str], Set[str]]:
-        cell = netlist.cells.get(self.name)
-        if cell is None:
+        if self.name not in netlist.cells:
             raise DeltaError(f"resize_cell: unknown cell {self.name!r}")
-        cell.init = int(self.init)
+        netlist.writable_cell(self.name).init = int(self.init)
         return set(), set()
 
 
@@ -198,8 +201,8 @@ class ReconnectInput:
                 f"reconnect_input: {self.cell} has no input pin "
                 f"{self.index}")
         old = cell.inputs[self.index]
-        netlist.nets[old].sinks.remove(self.cell)
-        cell.inputs[self.index] = self.net
+        netlist.writable_net(old).sinks.remove(self.cell)
+        netlist.writable_cell(self.cell).inputs[self.index] = self.net
         netlist.ensure_net(self.net).sinks.append(self.cell)
         return {self.cell}, {old, self.net}
 
@@ -227,9 +230,9 @@ class RetargetOutput:
                 f"{target.driver}")
         nets = {self.net}
         if cell.output is not None:
-            netlist.nets[cell.output].driver = None
+            netlist.writable_net(cell.output).driver = None
             nets.add(cell.output)
-        cell.output = self.net
+        netlist.writable_cell(self.cell).output = self.net
         target.driver = self.cell
         return {self.cell}, nets
 
@@ -331,8 +334,14 @@ class NetlistDelta:
         return values
 
     def apply(self, netlist: Netlist) -> Tuple[Netlist, DeltaImpact]:
-        """The edited netlist (a copy) plus the computed impact."""
-        edited = netlist.copy(
+        """The edited netlist plus the computed impact.
+
+        The edited netlist is a copy-on-write :meth:`Netlist.edit_copy`:
+        it shares every cell and net the delta leaves alone with
+        ``netlist``, which never changes, so applying costs a dict copy
+        plus the edit.
+        """
+        edited = netlist.edit_copy(
             name=f"{netlist.name}+eco{self.fingerprint()[:8]}")
         added: Set[str] = set()
         removed: Set[str] = set()
@@ -415,6 +424,101 @@ def random_delta(netlist: Netlist, fraction: float,
 # -- warm-start placement ---------------------------------------------------
 
 
+class _WarmStart:
+    """The warm-start arrays of one edit, in the annealer's index space.
+
+    Every cell of the edited design has an index; a cell the base
+    placement knows sits on its base tile (its *home*), the others
+    (``added``: (index, name) in netlist order) are placed by
+    :func:`_place_from`.  Indices follow ``netlist.cells`` order, so
+    sorting indices sorts cells in netlist order.
+
+    This class builds everything from scratch (:meth:`replay`);
+    :class:`_PatchedStart` derives the same arrays from a base
+    implementation's copies.
+    """
+
+    def __init__(self, index: Dict[str, int], classes: List[str],
+                 xs: List[int], ys: List[int], sites: _SiteManager
+                 ) -> None:
+        self.index = index
+        self.classes = classes
+        self.xs = xs
+        self.ys = ys
+        self.sites = sites
+        self.added: List[Tuple[int, str]] = []
+
+    @classmethod
+    def replay(cls, netlist: Netlist, device: Device,
+               base: PlacementResult) -> "_WarmStart":
+        grid = _Grid(device, netlist, dims=base.grid)
+        names = list(netlist.cells)
+        start = cls({name: index for index, name in enumerate(names)},
+                    [_SiteManager.site_class(cell.kind)
+                     for cell in netlist.cells.values()],
+                    [0] * len(names), [0] * len(names), _SiteManager(grid))
+        start.names = names
+        start.homes = base.locations
+        start.occupy(netlist, base.locations)
+        return start
+
+    def occupy(self, netlist: Netlist,
+               homes: Mapping[str, Tuple[int, int]]) -> None:
+        """Occupy every located cell's home tile, in netlist order, and
+        list the others as ``added``."""
+        for name in netlist.cells:
+            index = self.index[name]
+            tile = homes.get(name)
+            if tile is None:
+                self.added.append((index, name))
+                continue
+            cls = self.classes[index]
+            if not self.sites.has_room(cls, tile):
+                raise FlowError(
+                    f"eco warm start: base tile {tile} of {name!r} is over "
+                    f"capacity (incompatible base placement)")
+            self.sites.occupy(cls, tile)
+            self.xs[index], self.ys[index] = tile
+
+    def home(self, index: int) -> Optional[Tuple[int, int]]:
+        return self.homes.get(self.names[index])
+
+    def span(self, net: Net) -> Optional[int]:
+        """``_net_hpwl`` of ``net`` at the current tiles, or ``None``
+        for a net with fewer than two placed pins (which counts 0.0)."""
+        index_of, xs, ys = self.index, self.xs, self.ys
+        pins = []
+        if net.driver and net.driver in index_of:
+            pins.append(index_of[net.driver])
+        for sink in net.sinks:
+            index = index_of.get(sink)
+            if index is not None:
+                pins.append(index)
+        if len(pins) < 2:
+            return None
+        cols = [xs[pin] for pin in pins]
+        rows = [ys[pin] for pin in pins]
+        return (max(cols) - min(cols)) + (max(rows) - min(rows))
+
+    def net_position(self, netlist: Netlist) -> Callable[[str], int]:
+        """Sort key of a net name: its position in ``netlist.nets``."""
+        return {name: position for position, name
+                in enumerate(netlist.nets)}.__getitem__
+
+    def initial_hpwl(self, netlist: Netlist) -> float:
+        """``total_hpwl`` of the warm start (added cells placed)."""
+        xs, ys = self.xs, self.ys
+        return total_hpwl(netlist, {name: (xs[i], ys[i])
+                                    for i, name in enumerate(self.names)})
+
+    def locations(self, movable: Sequence[int]
+                  ) -> Dict[str, Tuple[int, int]]:
+        """Every cell's final tile, in netlist order (only ``movable``
+        and added cells can have left their home)."""
+        xs, ys = self.xs, self.ys
+        return {name: (xs[i], ys[i]) for i, name in enumerate(self.names)}
+
+
 def eco_place(netlist: Netlist, device: Device, base: PlacementResult,
               changed_cells: Set[str], seed: int = 1,
               effort: float = 1.0,
@@ -427,18 +531,24 @@ def eco_place(netlist: Netlist, device: Device, base: PlacementResult,
     fraction of the cold starting temperature inside a reduced range
     limit, on the base placement's grid (so frozen tiles stay legal).
     """
-    rng = random.Random(seed)
-    grid = _Grid(device, netlist, dims=base.grid)
-    sites = _SiteManager(grid)
-    cols, rows = grid.cols, grid.rows
+    if not netlist.cells:
+        return PlacementResult({}, 0.0, 0.0, 0, tuple(base.grid))
+    start = _WarmStart.replay(netlist, device, base)
+    return _place_from(start, netlist, changed_cells, seed, effort,
+                       tracer)[0]
 
-    cell_names: List[str] = list(netlist.cells)
-    cell_index = {name: index for index, name in enumerate(cell_names)}
-    classes: List[str] = [_SiteManager.site_class(cell.kind)
-                          for cell in netlist.cells.values()]
-    ncells = len(cell_names)
-    if ncells == 0:
-        return PlacementResult({}, 0.0, 0.0, 0, (cols, rows))
+
+def _place_from(start: _WarmStart, netlist: Netlist,
+                changed_cells: Set[str], seed: int, effort: float,
+                tracer: Optional[Tracer]
+                ) -> Tuple[PlacementResult, Set[str]]:
+    """The warm-start anneal of :func:`eco_place` from ``start``; also
+    returns the cells whose tile differs from their base tile."""
+    rng = random.Random(seed)
+    sites = start.sites
+    cols, rows = sites.grid.cols, sites.grid.rows
+    index_of = start.index
+    classes, xs, ys = start.classes, start.xs, start.ys
 
     # The movable set: the changed cells, plus the low-fanout one-net
     # neighborhood of the *added* ones (a fresh cell needs its
@@ -453,7 +563,7 @@ def eco_place(netlist: Netlist, device: Device, base: PlacementResult,
     hot_nets: Set[str] = set()
     for name in sorted(movable):
         cell = netlist.cells[name]
-        if base.locations.get(name) is not None:
+        if start.home(index_of[name]) is not None:
             continue                      # pre-existing cell: no spread
         hot_nets.update(cell.inputs)
         if cell.output is not None:
@@ -467,29 +577,12 @@ def eco_place(netlist: Netlist, device: Device, base: PlacementResult,
         movable.update(sink for sink in net.sinks
                        if sink in netlist.cells)
 
-    # Warm start: every surviving cell keeps its base tile; cells the
-    # delta added go to the nearest free site of their class, seeded at
-    # the centroid of their already-placed neighbors.
-    xs: List[int] = [0] * ncells
-    ys: List[int] = [0] * ncells
-    placed: Set[int] = set()
-    added: List[int] = []
-    for index, name in enumerate(cell_names):
-        tile = base.locations.get(name)
-        if tile is None:
-            added.append(index)
-            continue
-        cls = classes[index]
-        if not sites.has_room(cls, tile):
-            raise FlowError(
-                f"eco warm start: base tile {tile} of {name!r} is over "
-                f"capacity (incompatible base placement)")
-        sites.occupy(cls, tile)
-        xs[index], ys[index] = tile
-        placed.add(index)
+    # Cells the base placement does not know go to the nearest free
+    # site of their class, seeded at the centroid of their
+    # already-placed neighbors.
+    placed_added: Set[int] = set()
 
-    def neighbor_centroid(index: int) -> Tuple[int, int]:
-        cell = netlist.cells[cell_names[index]]
+    def neighbor_centroid(cell: Cell) -> Tuple[int, int]:
         points: List[Tuple[int, int]] = []
         net_names = list(cell.inputs)
         if cell.output is not None:
@@ -499,17 +592,19 @@ def eco_place(netlist: Netlist, device: Device, base: PlacementResult,
             if net is None:
                 continue
             for pin in ([net.driver] if net.driver else []) + net.sinks:
-                other = cell_index.get(pin)
-                if other is not None and other in placed:
+                other = index_of.get(pin)
+                if other is not None and (other in placed_added
+                                          or start.home(other)
+                                          is not None):
                     points.append((xs[other], ys[other]))
         if not points:
             return cols // 2, rows // 2
         return (round(sum(p[0] for p in points) / len(points)),
                 round(sum(p[1] for p in points) / len(points)))
 
-    for index in added:
+    for index, name in start.added:
         cls = classes[index]
-        cx, cy = neighbor_centroid(index)
+        cx, cy = neighbor_centroid(netlist.cells[name])
         candidates = sites.free[cls].items
         if not candidates:
             raise FlowError("eco warm start: no free site for added cell")
@@ -517,22 +612,22 @@ def eco_place(netlist: Netlist, device: Device, base: PlacementResult,
                    key=lambda t: (abs(t[0] - cx) + abs(t[1] - cy), t))
         sites.occupy(cls, tile)
         xs[index], ys[index] = tile
-        placed.add(index)
+        placed_added.add(index)
 
-    warm_locations = {cell_names[i]: (xs[i], ys[i])
-                      for i in range(ncells)}
-    initial = total_hpwl(netlist, warm_locations)
+    initial = start.initial_hpwl(netlist)
+    movable_indices = sorted(index_of[name] for name in movable)
+    frozen = len(netlist.cells) - len(movable_indices)
 
-    movable_indices = [cell_index[name] for name in cell_names
-                       if name in movable]
-    frozen = ncells - len(movable_indices)
-
-    # Anneal only the nets with at least one movable pin: frozen nets
-    # cannot change, so the final HPWL is the warm-start total shifted
-    # by the annealer's accepted gain — exactly a full rescan (integer
-    # spans), without the O(nets) pass.
-    net_pins, nets_of_cell = _net_pins(netlist, cell_index,
-                                       set(movable_indices))
+    # Anneal only the nets with at least one movable pin, in netlist
+    # order: frozen nets cannot change, so the final HPWL is the
+    # warm-start total shifted by the annealer's accepted gain —
+    # exactly a full rescan (integer spans), without the O(nets) pass.
+    movable_set = set(movable_indices)
+    net_pins, nets_of_cell = _net_pins(
+        netlist, index_of, movable_set,
+        nets=_nets_in_order(netlist, movable,
+                            start.net_position(netlist)),
+        size=len(xs))
     stats = {"moves": 0, "accepted": 0, "rescans": 0,
              "window_fallbacks": 0}
     gain = 0
@@ -553,19 +648,379 @@ def eco_place(netlist: Netlist, device: Device, base: PlacementResult,
                             * 0.25),
             radius=max(3, span // 4), reach=span * 0.25,
             block=max(25, moves // 100),
-            home=[base.locations.get(name) for name in cell_names],
+            home={index: start.home(index) for index in movable_indices},
             penalty=_DISTURB_PENALTY)
     _emit_counters(tracer, stats)
 
-    locations = {cell_names[i]: (xs[i], ys[i]) for i in range(ncells)}
-    moved = sum(1 for name, tile in locations.items()
-                if base.locations.get(name) != tile)
+    # Only movable and added cells can have left their base tile.
+    moved = {name for name in movable.union(
+                 name for _index, name in start.added)
+             if start.home(index_of[name])
+             != (xs[index_of[name]], ys[index_of[name]])}
+    locations = start.locations(movable_indices)
     stats = {**stats, "annealed": len(movable_indices), "frozen": frozen,
-             "moved": moved, "added": len(added)}
+             "moved": len(moved), "added": len(start.added)}
     return PlacementResult(locations=locations, hpwl=initial + gain,
                            initial_hpwl=initial,
                            iterations=stats["moves"],
-                           grid=(cols, rows), stats=stats)
+                           grid=(cols, rows), stats=stats), moved
+
+
+def _nets_in_order(netlist: Netlist, cells: Set[str],
+                   position: Callable[[str], int]) -> List[Net]:
+    """The nets of ``cells``, sorted by ``position``."""
+    names: Set[str] = set()
+    for name in cells:
+        cell = netlist.cells[name]
+        names.update(cell.inputs)
+        if cell.output is not None:
+            names.add(cell.output)
+    return [netlist.nets[name] for name in sorted(names, key=position)]
+
+
+# -- the per-base state ----------------------------------------------------
+
+
+_STAT_OF_KIND = {LUT4: "luts", CARRY: "luts", DFF: "ffs", DSP: "dsps",
+                 BRAM: "brams"}
+
+
+def _tail(netlist: Netlist, impact: DeltaImpact) -> List[str]:
+    """The cells the delta added, in netlist order.
+
+    An added cell — a re-added one included — goes to the end of
+    ``netlist.cells`` and a removed one leaves it, so the added cells
+    are exactly the last ``len(impact.added)`` cells; every other cell
+    keeps its base position.
+    """
+    return list(islice(reversed(netlist.cells), len(impact.added)))[::-1]
+
+
+def _relevel(base_levels: Mapping[str, int], netlist: Netlist,
+             impact: DeltaImpact) -> Optional[Dict[str, int]]:
+    """The base topological levels raised until every combinational
+    edge of the edited netlist climbs, or ``None`` if that takes more
+    than one step per cell (a new loop never settles).
+
+    A new combinational edge runs into a reconnected or added cell or
+    out of a retargeted or added cell (both in ``changed_cells``), so
+    only those edges and the cells downstream of a raise are visited;
+    removed edges leave the base ranking valid.
+    """
+    level = dict(base_levels)
+    cells, nets = netlist.cells, netlist.nets
+    pending: deque = deque()
+
+    def climb(driver: str, sink: str) -> None:
+        need = level.get(driver, 0) + 1
+        if level.get(sink, 0) < need:
+            level[sink] = need
+            pending.append(sink)
+
+    for name in sorted(impact.added | impact.reconnected):
+        cell = cells.get(name)
+        if cell is None or cell.is_sequential:
+            continue
+        for net_name in cell.inputs:
+            driver = nets[net_name].driver
+            if driver is not None and not cells[driver].is_sequential:
+                climb(driver, name)
+        pending.append(name)
+    budget = len(cells)
+    while pending:
+        budget -= 1
+        if budget < 0:
+            return None
+        name = pending.popleft()
+        output = cells[name].output
+        if output is None:
+            continue
+        for sink in nets[output].sinks:
+            if not cells[sink].is_sequential:
+                climb(name, sink)
+    return level
+
+
+class _EcoBase:
+    """What every edit of one base implementation starts from.
+
+    It lives on the base :class:`NXmapProject` and serves every
+    :class:`EcoFlow` of the same base placement and routing.  The base
+    full-STA state comes from :meth:`EcoFlow.prepare_base`; everything
+    else is derived once, on the first edit (:meth:`derive`), and each
+    edit patches copies of it:
+
+    * cell and net positions, netlist stats, primary ports;
+    * the warm-start arrays and site occupancy (:class:`_PatchedStart`)
+      and every base net's HPWL span;
+    * the routing index (:class:`~repro.fabric.routing.WarmRoutes`);
+    * STA levels, net route lengths and endpoint keys;
+    * the base bitstream and each tile's cells.
+    """
+
+    def __init__(self, project: NXmapProject, sta: StaState) -> None:
+        self.project = project
+        self.placement = project.placement
+        self.routing = project.routing
+        self.sta = sta
+        self.derived = False
+
+    def serves(self, project: NXmapProject) -> bool:
+        return (project._eco_base is self
+                and project.placement is self.placement
+                and project.routing is self.routing)
+
+    def derive(self) -> None:
+        if self.derived:
+            return
+        project = self.project
+        netlist = project.netlist
+        locations = self.placement.locations
+        self.netlist = netlist
+        self.stats = netlist.stats()
+        self.inputs = set(netlist.inputs)
+        self.outputs = set(netlist.outputs)
+        self.order = {name: index for index, name
+                      in enumerate(netlist.cells)}
+        self.net_order = {name: index for index, name
+                          in enumerate(netlist.nets)}
+        self.locations = {name: locations[name] for name in netlist.cells
+                          if name in locations}
+        # The patched warm start needs a base placement of exactly the
+        # base cells that replays legally; otherwise edits replay.
+        self.warm: Optional[_WarmStart] = None
+        if len(self.locations) == len(netlist.cells) == len(locations):
+            try:
+                self.warm = _WarmStart.replay(netlist, project.device,
+                                              self.placement)
+            except FlowError:
+                pass
+        self.span: Dict[str, Optional[int]] = {}
+        self.span_total = 0
+        self.degenerate = 0
+        if self.warm is not None:
+            for net in netlist.nets.values():
+                span = self.warm.span(net)
+                self.span[net.name] = span
+                if span is None:
+                    self.degenerate += 1
+                else:
+                    self.span_total += span
+        self.routes = WarmRoutes(self.routing, netlist, locations)
+        self.levels = _levels(netlist)
+        self.net_lengths = _net_route_lengths(self.routing)
+        self.seq_keys = [f"cell:{name}" for name, cell
+                         in netlist.cells.items() if cell.is_sequential]
+        self.out_keys = [f"out:{name}" for name in netlist.outputs]
+        self.bitstream = generate_bitstream(
+            netlist, locations, self.placement.grid, project.device.name,
+            seed=project.seed)
+        self.tile_cells: Dict[Tuple[int, int], List[str]] = {}
+        for name in netlist.cells:
+            tile = locations.get(name)
+            if tile is not None:
+                self.tile_cells.setdefault(tile, []).append(name)
+        self.derived = True
+
+    # -- per-edit patches --------------------------------------------------
+
+    def gone(self, impact: DeltaImpact) -> Set[str]:
+        """Base cells that left their place in the cell order."""
+        return {name for name in impact.removed | impact.added
+                if name in self.order}
+
+    def check(self, netlist: Netlist, impact: DeltaImpact,
+              device: Device) -> Tuple[Optional[Dict[str, int]],
+                                       Dict[str, int]]:
+        """``NXmapProject``'s netlist and device checks of the edited
+        design, on the delta; returns the patched STA levels (``None``
+        when only a full pass can tell) and the netlist stats.
+
+        Undriven nets and dangling outputs can appear only on touched
+        nets, and a new loop must run through a new combinational edge
+        (:func:`_relevel`).  On any suspicion the full
+        :meth:`Netlist.validate` decides, so a rejection carries its
+        exact message.
+        """
+        added_outputs = set(netlist.outputs[len(self.out_keys):])
+        suspect = False
+        for name in impact.touched_nets:
+            net = netlist.nets[name]
+            if net.driver is None and name not in self.inputs and (
+                    net.sinks or name in self.outputs
+                    or name in added_outputs):
+                suspect = True
+                break
+        levels = None
+        if not suspect:
+            levels = _relevel(self.levels, netlist, impact)
+            suspect = levels is None
+        if suspect:
+            problems = netlist.validate()
+            if problems:
+                raise FlowError(f"netlist check failed: {problems[0]}")
+        stats = dict(self.stats)
+        for name in impact.removed | impact.added:
+            for cell, step in ((self.netlist.cells.get(name), -1),
+                               (netlist.cells.get(name), 1)):
+                if cell is not None and cell.kind in _STAT_OF_KIND:
+                    stats[_STAT_OF_KIND[cell.kind]] += step
+        stats["nets"] = len(netlist.nets)
+        stats["cells"] = len(netlist.cells)
+        if not device.fits(stats["luts"], stats["ffs"], stats["dsps"],
+                           stats["brams"]):
+            raise FlowError(f"{netlist.name} does not fit {device.name}: "
+                            f"{stats}")
+        return levels, stats
+
+    def endpoints(self, netlist: Netlist, impact: DeltaImpact,
+                  tail: List[str]) -> Tuple[List[str], List[str]]:
+        """The edited design's endpoint keys in scan order, and the base
+        keys that may no longer be endpoints."""
+        gone = self.gone(impact)
+        seq = self.seq_keys
+        if gone:
+            seq = [key for key in seq if key[5:] not in gone]
+        keys = seq + [f"cell:{name}" for name in tail
+                      if netlist.cells[name].is_sequential]
+        keys += self.out_keys
+        keys += [f"out:{name}"
+                 for name in netlist.outputs[len(self.out_keys):]]
+        return keys, [f"cell:{name}" for name in sorted(gone)]
+
+    def net_lengths_after(self, routing: RoutingResult,
+                          changed: Optional[Set[str]]) -> Dict[str, int]:
+        """Routed length of every net, patched on ``changed`` nets."""
+        if changed is None:
+            return _net_route_lengths(routing)
+        lengths = dict(self.net_lengths)
+        for name in changed:
+            paths = routing.routes.get(name)
+            if paths is None:
+                lengths.pop(name, None)
+            else:
+                lengths[name] = sum(max(0, len(path) - 1)
+                                    for path in paths)
+        return lengths
+
+    def tiles(self, netlist: Netlist, impact: DeltaImpact,
+              tail: List[str], locations: Mapping[str, Tuple[int, int]],
+              moved: Set[str]) -> Dict[Tuple[int, int], List[Cell]]:
+        """Each tile whose bitstream configuration the edit can change,
+        with its cells in netlist order: the old and new tiles of added,
+        removed and moved cells and the tiles of resized cells."""
+        touched: Set[Tuple[int, int]] = set()
+        for name in impact.added | impact.removed | impact.resized | moved:
+            for tile in (self.locations.get(name), locations.get(name)):
+                if tile is not None:
+                    touched.add(tile)
+        gone = self.gone(impact)
+        position = {name: len(self.order) + index
+                    for index, name in enumerate(tail)}
+        arrivals: Dict[Tuple[int, int], Set[str]] = {}
+        for name in moved.union(tail):
+            tile = locations.get(name)
+            if tile in touched:
+                arrivals.setdefault(tile, set()).add(name)
+        tiles: Dict[Tuple[int, int], List[Cell]] = {}
+        for tile in sorted(touched):
+            names = {name for name in self.tile_cells.get(tile, ())
+                     if name not in gone and locations.get(name) == tile}
+            names |= arrivals.get(tile, set())
+            tiles[tile] = [netlist.cells[name] for name in sorted(
+                names, key=lambda name: position.get(name)
+                if name in position else self.order[name])]
+        return tiles
+
+
+class _PatchedStart(_WarmStart):
+    """:class:`_WarmStart` of an edit, patched from the base's arrays.
+
+    Base cells keep their base indices (a removed one leaves a gap) and
+    the delta's added cells take the indices after them, so indices
+    still follow netlist order.  The site occupancy is a copy of the
+    base's unless a base cell left its place in the cell order; then it
+    is replayed in the edited order, since the free-list order depends
+    on the order the tiles filled up.
+    """
+
+    def __init__(self, base: _EcoBase, netlist: Netlist,
+                 impact: DeltaImpact, tail: List[str]) -> None:
+        warm = base.warm
+        count = len(warm.xs)
+        self.base = base
+        self.tail = tail
+        self.touched = impact.touched_nets
+        self.gone = base.gone(impact)
+        index = dict(warm.index)
+        for name in self.gone:
+            del index[name]
+        for offset, name in enumerate(tail):
+            index[name] = count + offset
+        self.tail_homes = {count + offset: base.locations.get(name)
+                           for offset, name in enumerate(tail)}
+        super().__init__(
+            index,
+            warm.classes + [_SiteManager.site_class(netlist.cells[name].kind)
+                            for name in tail],
+            warm.xs + [0] * len(tail), warm.ys + [0] * len(tail),
+            warm.sites.copy() if not self.gone
+            else _SiteManager(warm.sites.grid))
+        if self.gone:
+            self.occupy(netlist, base.placement.locations)
+        else:
+            self.added = [(count + offset, name)
+                          for offset, name in enumerate(tail)]
+
+    def home(self, index: int) -> Optional[Tuple[int, int]]:
+        warm = self.base.warm
+        if index < len(warm.xs):
+            return warm.xs[index], warm.ys[index]
+        return self.tail_homes[index]
+
+    def net_position(self, netlist: Netlist) -> Callable[[str], int]:
+        order = self.base.net_order
+        extra = len(netlist.nets) - len(order)
+        if not extra:
+            return order.__getitem__
+        new = {name: len(order) + extra - 1 - offset for offset, name
+               in enumerate(islice(reversed(netlist.nets), extra))}
+        return lambda name: order[name] if name in order else new[name]
+
+    def initial_hpwl(self, netlist: Netlist) -> float:
+        # The base total with the touched nets' spans swapped: integer
+        # spans, so exact; a net with fewer than two pins adds 0.0 and
+        # makes ``total_hpwl`` a float.
+        base = self.base
+        total, degenerate = base.span_total, base.degenerate
+        for name in self.touched:
+            if name in base.span:
+                old = base.span[name]
+                if old is None:
+                    degenerate -= 1
+                else:
+                    total -= old
+            new = self.span(netlist.nets[name])
+            if new is None:
+                degenerate += 1
+            else:
+                total += new
+        return float(total) if degenerate else total
+
+    def locations(self, movable: Sequence[int]
+                  ) -> Dict[str, Tuple[int, int]]:
+        xs, ys = self.xs, self.ys
+        names = self.base.warm.names
+        count = len(names)
+        locations = dict(self.base.locations)
+        for name in self.gone:
+            del locations[name]
+        for index in movable:
+            if index < count:
+                locations[names[index]] = (xs[index], ys[index])
+        for offset, name in enumerate(self.tail):
+            locations[name] = (xs[count + offset], ys[count + offset])
+        return locations
 
 
 # -- the ECO report ---------------------------------------------------------
@@ -647,6 +1102,7 @@ class EcoFlow:
         self.placement: Optional[PlacementResult] = None
         self.routing: Optional[RoutingResult] = None
         self.timing: Optional[TimingReport] = None
+        self.bitstream: Optional[Bitstream] = None
         self._base_state: Optional[StaState] = None
 
     # -- delta-chained content addressing -----------------------------------
@@ -695,9 +1151,10 @@ class EcoFlow:
         recomputed cold when evicted — either way the stage keys are
         rebuilt, so the delta chain stays consistent.  The full-STA
         propagation state is cached under the base route key (stage
-        ``sta-state``): in the interactive scenario it is part of the
-        implemented design, so callers may run this outside the timed
-        edit loop.
+        ``sta-state``) and kept on the project with the rest of the
+        per-base state, so every later flow on the same base reuses it:
+        in the interactive scenario it is part of the implemented
+        design, so callers may run this outside the timed edit loop.
         """
         project = self.project
         if project.placement is None:
@@ -705,10 +1162,14 @@ class EcoFlow:
         if project.routing is None:
             project.run_route(channel_width=channel_width)
         if self._base_state is None:
-            state_key = (project._stage_key("sta-state",
-                                            project._route_key)
-                         if self.cache is not None else None)
             with self._span("eco.sta.base"):
+                shared = project._eco_base
+                if shared is not None and shared.serves(project):
+                    self._base_state = shared.sta
+                    return self._base_state
+                state_key = (project._stage_key("sta-state",
+                                                project._route_key)
+                             if self.cache is not None else None)
                 self._base_state = self._cached(
                     state_key, StaState.from_json,
                     lambda: analyze_timing_state(
@@ -716,7 +1177,18 @@ class EcoFlow:
                         routing=project.routing,
                         locations=project.placement.locations)[1],
                     StaState.to_json)
+                project._eco_base = _EcoBase(project, self._base_state)
         return self._base_state
+
+    def _base(self, base_state: StaState) -> _EcoBase:
+        """The project's per-base state for ``base_state``, derived."""
+        project = self.project
+        base = project._eco_base
+        if base is None or not base.serves(project) \
+                or base.sta is not base_state:
+            base = project._eco_base = _EcoBase(project, base_state)
+        base.derive()
+        return base
 
     def run(self, target_clock_ns: float = 10.0, effort: float = 1.0,
             channel_width: int = 16) -> EcoReport:
@@ -727,32 +1199,48 @@ class EcoFlow:
         with self._span("eco", ops=len(self.delta.ops)):
             base_state = self.prepare_base(effort=effort,
                                            channel_width=channel_width)
+            base = self._base(base_state)
             base_place = project.placement
             base_route = project.routing
 
-            # Apply the edit; the shadow project re-validates it and
-            # checks device capacity (and later regenerates the
-            # bitstream through the delta-chained key).
+            # Apply the edit and check it the way a fresh NXmapProject
+            # would (netlist rules, device capacity), on the delta only;
+            # the shadow project carries the edited design's later
+            # stages (the bitstream through the delta-chained key).
             edited, impact = self.delta.apply(project.netlist)
             self.netlist, self.impact = edited, impact
+            tail = _tail(edited, impact)
             try:
-                shadow = NXmapProject(edited, device, seed=project.seed,
-                                      tracer=tracer, cache=self.cache)
+                levels, stats = base.check(edited, impact, device)
             except FlowError as error:
                 raise FlowError(f"edited netlist rejected: {error}")
+            shadow = NXmapProject._checked(edited, device, stats,
+                                           seed=project.seed, tracer=tracer,
+                                           cache=self.cache)
             target = impact.constraints.get("target_clock_ns",
                                             target_clock_ns)
             changed = set(impact.changed_cells)
 
             # (a) Warm-start placement.
+            moved_cells: Optional[Set[str]] = None
+
+            def compute_place() -> PlacementResult:
+                nonlocal moved_cells
+                if base.warm is None or not edited.cells:
+                    result = eco_place(edited, device, base_place, changed,
+                                       seed=project.seed, effort=effort,
+                                       tracer=tracer)
+                    return result
+                result, moved_cells = _place_from(
+                    _PatchedStart(base, edited, impact, tail), edited,
+                    changed, project.seed, effort, tracer)
+                return result
+
             place_key = self._eco_key("eco-place", project._place_key,
                                       effort=effort)
             with self._span("eco.place", changed=len(changed)) as span:
                 placement = self._cached(
-                    place_key, PlacementResult.from_json,
-                    lambda: eco_place(edited, device, base_place,
-                                      changed, seed=project.seed,
-                                      effort=effort, tracer=tracer),
+                    place_key, PlacementResult.from_json, compute_place,
                     PlacementResult.to_json)
                 if span is not None:
                     span.attributes["moved"] = \
@@ -760,16 +1248,18 @@ class EcoFlow:
                     span.attributes["frozen"] = \
                         placement.stats.get("frozen", 0)
             self.placement = placement
-            moved_cells = {name for name, tile
-                           in placement.locations.items()
-                           if base_place.locations.get(name) != tile}
+            if moved_cells is None:
+                moved_cells = {name for name, tile
+                               in placement.locations.items()
+                               if base_place.locations.get(name) != tile}
 
             # (b) Delta routing.  A base route tree stays valid exactly
             # when its net's connectivity and its pins' tiles are both
             # unchanged, so rip the delta's touched nets (connectivity)
             # plus every net of a moved cell (pin positions).  Changed-
             # but-unmoved cells add nothing: their connectivity edits
-            # are already the touched nets.
+            # are already the touched nets.  Every other net keeps its
+            # base tree unexamined.
             rip: Set[str] = {name for name in impact.touched_nets
                              if name in edited.nets}
             for name in sorted(moved_cells):
@@ -782,16 +1272,21 @@ class EcoFlow:
                     rip.add(cell.output)
             ripped_existing = sum(1 for name in rip
                                   if name in base_route.routes)
+            rerouted: Optional[Set[str]] = None
+
+            def compute_route() -> RoutingResult:
+                nonlocal rerouted
+                result, rerouted = reroute(
+                    edited, placement.locations, placement.grid,
+                    base.routes, rip, channel_width=channel_width,
+                    tracer=tracer)
+                return result
+
             route_key = self._eco_key("eco-route", place_key,
                                       channel_width=channel_width)
             with self._span("eco.route", ripped=ripped_existing) as span:
                 routing = self._cached(
-                    route_key, RoutingResult.from_json,
-                    lambda: route(edited, placement.locations,
-                                  placement.grid,
-                                  channel_width=channel_width,
-                                  tracer=tracer, warm=base_route,
-                                  reroute_nets=rip),
+                    route_key, RoutingResult.from_json, compute_route,
                     RoutingResult.to_json)
                 if span is not None:
                     span.attributes["wirelength"] = routing.wirelength
@@ -808,12 +1303,17 @@ class EcoFlow:
             with self._span("eco.sta") as span:
 
                 def compute_sta() -> Tuple[TimingReport, int]:
-                    report, _state, size = analyze_timing_cone(
+                    keys, stale = base.endpoints(edited, impact, tail)
+                    report, _state, size = _cone(
                         edited, device, base_state,
                         changed_cells=changed | moved_cells,
                         changed_nets=rip, target_clock_ns=target,
-                        routing=routing,
-                        locations=placement.locations)
+                        net_lengths=base.net_lengths_after(routing,
+                                                           rerouted),
+                        locations=placement.locations,
+                        level=levels if levels is not None
+                        else _levels(edited),
+                        endpoint_keys=keys, stale_keys=stale)
                     return report, size
 
                 timing, cone_size = self._cached(
@@ -830,8 +1330,8 @@ class EcoFlow:
                         round(timing.critical_path_ns, 6)
             self.timing = timing
 
-            # Bitstream: regeneration is O(cells) and config words may
-            # have changed anywhere (resize ops), so rebuild in full.
+            # (d) Bitstream: the base bitstream with the frames of the
+            # touched tiles rebuilt (``patch_bitstream``).
             shadow.placement = placement
             shadow.routing = routing
             shadow.timing = timing
@@ -839,7 +1339,10 @@ class EcoFlow:
             # so the regenerated bitstream is cached per (base, delta).
             shadow._place_key = place_key
             with self._span("eco.bitstream"):
-                shadow.run_bitstream()
+                self.bitstream = shadow._run_bitstream(
+                    lambda: patch_bitstream(base.bitstream, base.tiles(
+                        edited, impact, tail, placement.locations,
+                        moved_cells)))
 
             eco_stats = {
                 "cells_added": len(impact.added),

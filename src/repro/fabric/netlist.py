@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 # Cell kinds of the modelled NG fabric.
 LUT4 = "LUT4"
@@ -32,7 +32,6 @@ class Cell:
     inputs: List[str] = field(default_factory=list)    # net names
     output: Optional[str] = None                       # net name
     init: int = 0            # LUT truth table / config word
-    location: Optional[tuple] = None                   # set by placement
 
     @property
     def is_sequential(self) -> bool:
@@ -57,6 +56,15 @@ class Net:
         return len(self.sinks)
 
 
+def _clone_cell(cell: Cell) -> Cell:
+    return Cell(name=cell.name, kind=cell.kind, inputs=list(cell.inputs),
+                output=cell.output, init=cell.init)
+
+
+def _clone_net(net: Net) -> Net:
+    return Net(name=net.name, driver=net.driver, sinks=list(net.sinks))
+
+
 class Netlist:
     """A flat technology netlist."""
 
@@ -67,6 +75,11 @@ class Netlist:
         self.inputs: List[str] = []       # primary input net names
         self.outputs: List[str] = []      # primary output net names
         self._counter = itertools.count()
+        # Copy-on-write bookkeeping of an edit copy (``edit_copy``): the
+        # cells and nets this netlist has cloned away from its source.
+        # ``None`` when it owns every object.
+        self._owned_cells: Optional[Set[str]] = None
+        self._owned_nets: Optional[Set[str]] = None
 
     # -- construction ------------------------------------------------------
 
@@ -76,14 +89,20 @@ class Netlist:
         return name
 
     def ensure_net(self, name: str) -> Net:
+        """The net called ``name``, created if missing; writable."""
         if name not in self.nets:
             self.nets[name] = Net(name)
-        return self.nets[name]
+            if self._owned_nets is not None:
+                self._owned_nets.add(name)
+            return self.nets[name]
+        return self.writable_net(name)
 
     def add_cell(self, cell: Cell) -> Cell:
         if cell.name in self.cells:
             raise NetlistError(f"duplicate cell {cell.name!r}")
         self.cells[cell.name] = cell
+        if self._owned_cells is not None:
+            self._owned_cells.add(cell.name)
         for net_name in cell.inputs:
             self.ensure_net(net_name).sinks.append(cell.name)
         if cell.output is not None:
@@ -116,15 +135,49 @@ class Netlist:
         """
         duplicate = Netlist(name or self.name)
         for cell in self.cells.values():
-            duplicate.cells[cell.name] = Cell(
-                name=cell.name, kind=cell.kind, inputs=list(cell.inputs),
-                output=cell.output, init=cell.init, location=cell.location)
+            duplicate.cells[cell.name] = _clone_cell(cell)
         for net in self.nets.values():
-            duplicate.nets[net.name] = Net(
-                name=net.name, driver=net.driver, sinks=list(net.sinks))
+            duplicate.nets[net.name] = _clone_net(net)
         duplicate.inputs = list(self.inputs)
         duplicate.outputs = list(self.outputs)
         return duplicate
+
+    def edit_copy(self, name: Optional[str] = None) -> "Netlist":
+        """A copy-on-write copy: equal to :meth:`copy` in content and
+        dict order, but it shares every :class:`Cell` and :class:`Net`
+        with ``self`` until an edit goes through :meth:`writable_cell`
+        or :meth:`writable_net` (which :meth:`add_cell` and
+        :meth:`ensure_net` use), so making it costs O(cells + nets) of
+        pointer copies and editing it O(edit).  ``self`` never changes.
+        """
+        duplicate = Netlist(name or self.name)
+        duplicate.cells = dict(self.cells)
+        duplicate.nets = dict(self.nets)
+        duplicate.inputs = list(self.inputs)
+        duplicate.outputs = list(self.outputs)
+        duplicate._owned_cells = set()
+        duplicate._owned_nets = set()
+        return duplicate
+
+    def writable_cell(self, name: str) -> Cell:
+        """Cell ``name``, cloned first if still shared with the source
+        of an :meth:`edit_copy`."""
+        cell = self.cells[name]
+        owned = self._owned_cells
+        if owned is not None and name not in owned:
+            cell = self.cells[name] = _clone_cell(cell)
+            owned.add(name)
+        return cell
+
+    def writable_net(self, name: str) -> Net:
+        """Net ``name``, cloned first if still shared with the source of
+        an :meth:`edit_copy`."""
+        net = self.nets[name]
+        owned = self._owned_nets
+        if owned is not None and name not in owned:
+            net = self.nets[name] = _clone_net(net)
+            owned.add(name)
+        return net
 
     def apply_delta(self, delta) -> "Netlist":
         """The netlist with an ECO :class:`~repro.fabric.eco.NetlistDelta`
@@ -172,11 +225,11 @@ class Netlist:
     def validate(self) -> List[str]:
         """Structural checks: drivers present, no combinational loops.
 
-        Delegates to the ``repro.analysis`` netlist pass pack (iterative
-        SCC loop detection — every loop is reported with its cycle path,
-        with no recursion-limit games) and returns the ERROR-level
-        findings as plain messages, the historical contract of this
-        method.  Run ``repro lint`` for the full diagnostic set.
+        Runs the ERROR-severity rules of the ``repro.analysis`` netlist
+        pass pack (iterative SCC loop detection — every loop is reported
+        with its cycle path, with no recursion-limit games) and returns
+        their findings as plain messages, the historical contract of
+        this method.  Run ``repro lint`` for the full diagnostic set.
         """
         from ..analysis.passes.netlist import error_messages
         return error_messages(self)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from ..cache import FlowCache, content_key, device_fingerprint, \
     netlist_fingerprint
@@ -136,6 +136,24 @@ class NXmapProject:
     def __init__(self, netlist: Netlist, device: Device | str,
                  seed: int = 1, tracer: Optional[Tracer] = None,
                  cache: Optional[FlowCache] = None) -> None:
+        self._attach(netlist, device, seed, tracer, cache)
+        self._validate()
+
+    @classmethod
+    def _checked(cls, netlist: Netlist, device: Device, stats: Dict[str, int],
+                 seed: int, tracer: Optional[Tracer],
+                 cache: Optional[FlowCache]) -> "NXmapProject":
+        """A project over a netlist its caller has already validated and
+        fitted to ``device`` (the ECO flow checks only its delta);
+        ``stats`` are the netlist's :meth:`Netlist.stats`."""
+        project = cls.__new__(cls)
+        project._attach(netlist, device, seed, tracer, cache)
+        project._stats = stats
+        return project
+
+    def _attach(self, netlist: Netlist, device: Device | str, seed: int,
+                tracer: Optional[Tracer],
+                cache: Optional[FlowCache]) -> None:
         self.netlist = netlist
         self.device = get_device(device) if isinstance(device, str) else device
         self.seed = seed
@@ -148,7 +166,15 @@ class NXmapProject:
         self._base_material: Optional[Dict[str, Any]] = None
         self._place_key: Optional[str] = None
         self._route_key: Optional[str] = None
-        self._validate()
+        self._stats: Optional[Dict[str, int]] = None
+        # Derived state of the implemented design that ECO edits start
+        # from (see ``repro.fabric.eco``); built on the first edit.
+        self._eco_base: Optional[Any] = None
+
+    def _netlist_stats(self) -> Dict[str, int]:
+        if self._stats is not None:
+            return dict(self._stats)
+        return self.netlist.stats()
 
     # -- content addressing ------------------------------------------------
 
@@ -206,7 +232,7 @@ class NXmapProject:
                                 **attributes)
 
     def run_place(self, effort: float = 1.0) -> PlacementResult:
-        stats = self.netlist.stats()
+        stats = self._netlist_stats()
         key = (self._stage_key("place", None, effort=effort)
                if self.cache is not None else None)
         with self._span("place", effort=effort,
@@ -286,14 +312,18 @@ class NXmapProject:
     def run_bitstream(self) -> Bitstream:
         if self.placement is None:
             self.run_place()
+        return self._run_bitstream(lambda: generate_bitstream(
+            self.netlist, self.placement.locations, self.placement.grid,
+            self.device.name, seed=self.seed))
+
+    def _run_bitstream(self, compute: Callable[[], Bitstream]) -> Bitstream:
+        """The bitstream stage around ``compute`` (which must equal
+        :func:`generate_bitstream` of this project's placed design)."""
         key = (self._stage_key("bitstream", self._place_key)
                if self.cache is not None else None)
         with self._span("bitstream") as span:
             self.bitstream = self._cached(
-                "bitstream", key, Bitstream.from_json,
-                lambda: generate_bitstream(
-                    self.netlist, self.placement.locations,
-                    self.placement.grid, self.device.name, seed=self.seed),
+                "bitstream", key, Bitstream.from_json, compute,
                 Bitstream.to_json)
             if span is not None:
                 span.attributes["total_bits"] = self.bitstream.total_bits
@@ -308,7 +338,7 @@ class NXmapProject:
         dynamic = cells × toggle × energy-per-toggle × f.  BRAM/DSP cells
         weigh ~20× a LUT toggle (wide datapaths behind one cell object).
         """
-        stats = self.netlist.stats()
+        stats = self._netlist_stats()
         weighted = (stats["luts"] + stats["ffs"] * 0.6
                     + stats["dsps"] * 20 + stats["brams"] * 20)
         dynamic_mw = (weighted * toggle_rate * self.device.lut_energy_pj
@@ -338,7 +368,7 @@ class NXmapProject:
         return self.report(target_clock_ns)
 
     def report(self, target_clock_ns: Optional[float] = None) -> FlowReport:
-        stats = self.netlist.stats()
+        stats = self._netlist_stats()
         clock_mhz = (self.timing.fmax_mhz if self.timing
                      else 1000.0 / (target_clock_ns or 10.0))
         return FlowReport(

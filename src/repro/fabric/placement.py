@@ -22,11 +22,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, \
+    Tuple
 
 from ..telemetry import Tracer
 from .device import Device, LUTS_PER_TILE
-from .netlist import BRAM, CARRY, DFF, DSP, IOB, LUT4, Netlist
+from .netlist import BRAM, CARRY, DFF, DSP, IOB, LUT4, Net, Netlist
 
 _LUT_CLASS = {LUT4, CARRY, IOB}
 _DSP_COLUMN_STRIDE = 8
@@ -159,6 +160,12 @@ class _FreeList:
             self.pos[tile] = len(self.items)
             self.items.append(tile)
 
+    def copy(self) -> "_FreeList":
+        duplicate = _FreeList.__new__(_FreeList)
+        duplicate.items = list(self.items)
+        duplicate.pos = dict(self.pos)
+        return duplicate
+
 
 class _SiteManager:
     """Occupancy counters plus per-site-class free-lists over the grid."""
@@ -179,6 +186,17 @@ class _SiteManager:
             "bram": _FreeList([t for t in tiles
                                if grid.is_macro_column(BRAM, t[0])]),
         }
+
+    def copy(self) -> "_SiteManager":
+        """An independent copy: same counters, same free-list order."""
+        duplicate = _SiteManager.__new__(_SiteManager)
+        duplicate.grid = self.grid
+        duplicate.capacity = self.capacity
+        duplicate.used = {cls: dict(table)
+                          for cls, table in self.used.items()}
+        duplicate.free = {cls: free.copy()
+                          for cls, free in self.free.items()}
+        return duplicate
 
     @staticmethod
     def site_class(kind: str) -> str:
@@ -293,19 +311,23 @@ class _IncrementalHpwl:
 
 
 def _net_pins(netlist: Netlist, cell_index: Dict[str, int],
-              movable: Optional[Set[int]] = None
+              movable: Optional[Set[int]] = None,
+              nets: Optional[Iterable[Net]] = None, size: int = 0
               ) -> Tuple[List[List[int]], List[List[Tuple[int, int]]]]:
     """Per-net pin arrays (cell indices, with multiplicity) and the
     reverse map cell → [(net, pin count)].
 
     With a ``movable`` set, only nets with at least one movable pin are
     kept and only movable cells get a net list: frozen pins still shape
-    the bounding boxes, but are never moved.
+    the bounding boxes, but are never moved.  ``nets`` limits the scan
+    to those nets (default: every net, in netlist order); ``size`` is
+    the length of the reverse map when the cell indices are not
+    ``0..len(cell_index)-1``.
     """
     net_pins: List[List[int]] = []
     nets_of_cell: List[List[Tuple[int, int]]] = [
-        [] for _ in range(len(cell_index))]
-    for net in netlist.nets.values():
+        [] for _ in range(max(size, len(cell_index)))]
+    for net in (netlist.nets.values() if nets is None else nets):
         pins: List[int] = []
         if net.driver is not None and net.driver in cell_index:
             pins.append(cell_index[net.driver])
@@ -332,7 +354,8 @@ def _anneal(rng: random.Random, sites: _SiteManager, classes: List[str],
             tracker: _IncrementalHpwl,
             nets_of_cell: List[List[Tuple[int, int]]], *,
             moves: int, temperature: float, radius: float, reach: float,
-            block: int, home: Optional[List[Optional[Tuple[int, int]]]] = None,
+            block: int,
+            home: Optional[Mapping[int, Optional[Tuple[int, int]]]] = None,
             penalty: float = 0.0) -> Tuple[Dict[str, int], int]:
     """The one annealing move loop, shared by the cold and ECO placers.
 
@@ -517,9 +540,7 @@ def place(netlist: Netlist, device: Device, seed: int = 1,
 
     The input netlist is never mutated: all placement state lives in the
     returned :class:`PlacementResult` (downstream stages take the
-    ``locations`` map explicitly).  Writing tiles back onto cells would
-    poison content-addressed stage reuse — the ``netlist.stale-placement``
-    lint rule audits for netlists carrying such annotations.
+    ``locations`` map explicitly).
 
     ``tracer`` (optional) receives the annealer counters:
     ``place.moves.accepted``, ``place.moves.total``,

@@ -22,7 +22,7 @@ from __future__ import annotations
 import heapq
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..telemetry import Tracer
 from .netlist import Netlist
@@ -230,6 +230,253 @@ class _NetTree:
             self._nodes.update(path)
 
 
+Conn = Tuple[str, int, Tile]  # (net name, sink ordinal, sink tile)
+
+
+class _Router:
+    """The state of one routing run: every net's tree, the sink tiles,
+    the channel usage and the negotiation counters.
+
+    :func:`route` fills it for every net of the netlist;
+    :func:`reroute` fills it only for the nets an ECO edit can have
+    changed and keeps every other net's base tree as it is.
+    """
+
+    def __init__(self, grid: Tuple[int, int], channel_width: int,
+                 tracer: Optional[Tracer]) -> None:
+        self.cols, self.rows = grid
+        self.channel_width = channel_width
+        self.tracer = tracer
+        self.trees: Dict[str, _NetTree] = {}
+        self.sink_tiles: Dict[Tuple[str, int], Tile] = {}
+        self.usage: Dict[Edge, int] = {}
+        self.stats = _AstarStats()
+        self.failed: Set[Tuple[str, int]] = set()
+        self.iterations = 0
+        self.ripped_total = 0
+        self.overflow = 0
+        # Called once before the first targeted rip-up, which scans
+        # every tree (see ``reroute``).
+        self.before_rip: Optional[Callable[[], None]] = None
+
+    def enumerate(self, netlist: Netlist, locations: Dict[str, Tile],
+                  net_names: Iterable[str]) -> List[Conn]:
+        """The connections of ``net_names`` (visited in the given order,
+        sinks in sorted order), registering their trees."""
+        connections: List[Conn] = []
+        for net_name in net_names:
+            net = netlist.nets[net_name]
+            if net.driver is None or net.driver not in locations:
+                continue
+            source = locations[net.driver]
+            ordinal = 0
+            for sink in sorted(net.sinks):
+                if sink not in locations:
+                    continue
+                target = locations[sink]
+                if target == source:
+                    continue
+                connections.append((net_name, ordinal, target))
+                self.sink_tiles[(net_name, ordinal)] = target
+                ordinal += 1
+            if ordinal:
+                self.trees[net_name] = _NetTree(source)
+        return connections
+
+    def preload(self, warm: RoutingResult, reroute: Set[str],
+                connections: List[Conn]) -> Set[str]:
+        """Preserve the warm paths of the nets of ``connections`` that
+        are not in ``reroute`` and still match their connections; returns
+        the preserved nets."""
+        preloaded: Set[str] = set()
+        counts: Dict[str, int] = {}
+        for name, _ordinal, _tile in connections:
+            counts[name] = counts.get(name, 0) + 1
+        for net_name in sorted(counts):
+            if net_name in reroute:
+                continue
+            paths = warm.routes.get(net_name)
+            if paths is None or len(paths) != counts[net_name]:
+                continue
+            tree = self.trees[net_name]
+            # Preserved paths must still describe this net's connection
+            # endpoints: the first segment starts at the (unmoved)
+            # driver tile and every segment ends at its (unmoved) sink
+            # tile.  Segment-to-tree continuity is an invariant of the
+            # stored artifact — the base run grew the segments on the
+            # tree in ordinal order — so endpoint checks alone detect
+            # every pin move without materializing the node set.
+            valid = True
+            for ordinal, path in enumerate(paths):
+                if not path \
+                        or path[-1] != self.sink_tiles[(net_name, ordinal)] \
+                        or (ordinal == 0 and path[0] != tree.source):
+                    valid = False
+                    break
+            if not valid:
+                continue
+            for ordinal, path in enumerate(paths):
+                tree.add(ordinal, path)
+            preloaded.add(net_name)
+        return preloaded
+
+    def release(self, paths: Iterable[List[Tile]]) -> None:
+        """Take the channel usage of ``paths`` out of the usage map."""
+        usage = self.usage
+        for path in paths:
+            for a, b in zip(path, path[1:]):
+                edge = _edge(a, b)
+                remaining = usage.get(edge, 0) - 1
+                if remaining > 0:
+                    usage[edge] = remaining
+                else:
+                    usage.pop(edge, None)
+
+    def _span(self, name: str, **attributes):
+        if self.tracer is None:
+            return nullcontext(None)
+        return self.tracer.span(name, "fabric", **attributes)
+
+    def route_connection(self, conn: Conn, margin: int,
+                         penalty: float) -> bool:
+        cols, rows = self.cols, self.rows
+        usage = self.usage
+        net_name, ordinal, target = conn
+        tree = self.trees[net_name]
+        if target in tree.nodes:
+            tree.add(ordinal, [target])  # zero-length tap on the tree
+            return True
+        bxmin = min(node[0] for node in tree.nodes)
+        bxmax = max(node[0] for node in tree.nodes)
+        bymin = min(node[1] for node in tree.nodes)
+        bymax = max(node[1] for node in tree.nodes)
+        bounds = (max(0, min(bxmin, target[0]) - margin),
+                  min(cols - 1, max(bxmax, target[0]) + margin),
+                  max(0, min(bymin, target[1]) - margin),
+                  min(rows - 1, max(bymax, target[1]) + margin))
+        full_bounds = (0, cols - 1, 0, rows - 1)
+        path = _astar_tree(tree.nodes, target, bounds, usage,
+                           self.channel_width, penalty, self.stats)
+        if path is None and bounds != full_bounds:
+            # Safety net: the bounded window can starve a legal detour.
+            path = _astar_tree(tree.nodes, target, full_bounds, usage,
+                               self.channel_width, penalty, self.stats)
+        if path is None:
+            return False
+        for a, b in zip(path, path[1:]):
+            edge = _edge(a, b)
+            usage[edge] = usage.get(edge, 0) + 1
+        tree.add(ordinal, path)
+        return True
+
+    def rip_targeted(self, over_edges: Set[Edge]) -> List[Conn]:
+        """Tear up only the path segments crossing overflowed edges (and
+        segments stranded by such a rip); keep all other usage."""
+        if self.before_rip is not None:
+            self.before_rip()
+            self.before_rip = None
+        usage = self.usage
+        ripped: List[Conn] = []
+        for net_name in sorted(self.trees):
+            tree = self.trees[net_name]
+            if not tree.paths:
+                continue
+            kept: List[Tuple[int, List[Tile]]] = []
+            rebuilt: Set[Tile] = {tree.source}
+            for ordinal, path in tree.paths:
+                crosses = any(_edge(a, b) in over_edges
+                              for a, b in zip(path, path[1:]))
+                stranded = path[0] not in rebuilt
+                if crosses or stranded:
+                    for a, b in zip(path, path[1:]):
+                        edge = _edge(a, b)
+                        remaining = usage[edge] - 1
+                        if remaining:
+                            usage[edge] = remaining
+                        else:
+                            del usage[edge]
+                    ripped.append((net_name, ordinal,
+                                   self.sink_tiles[(net_name, ordinal)]))
+                else:
+                    kept.append((ordinal, path))
+                    rebuilt.update(path)
+            tree.paths = kept
+            tree._nodes = rebuilt
+        return sorted(ripped)
+
+    def negotiate(self, pending: List[Conn], max_iterations: int) -> None:
+        """The negotiation loop: route ``pending``, then rip up and
+        re-route overflowed connections under a rising penalty."""
+        channel_width = self.channel_width
+        usage = self.usage
+        failed = self.failed
+        sink_tiles = self.sink_tiles
+        penalty = 0.5
+        for iteration in range(max_iterations):
+            if iteration > 0:
+                penalty *= 4  # negotiate harder next pass
+                over_edges = {edge for edge, used in usage.items()
+                              if used > channel_width}
+                ripped = self.rip_targeted(over_edges)
+                self.ripped_total += len(ripped)
+                ripped_keys = {(name, ordinal)
+                               for name, ordinal, _tile in ripped}
+                pending = ripped + [
+                    (name, ordinal, sink_tiles[(name, ordinal)])
+                    for name, ordinal in sorted(failed)
+                    if (name, ordinal) not in ripped_keys]
+            self.iterations += 1
+            margin = _BASE_MARGIN + _MARGIN_PER_PASS * iteration
+            with self._span("route.pass", iteration=iteration,
+                            connections=len(pending)) as pass_span:
+                routed_now = 0
+                for conn in pending:
+                    failed.discard((conn[0], conn[1]))
+                    if self.route_connection(conn, margin, penalty):
+                        routed_now += 1
+                    else:
+                        failed.add((conn[0], conn[1]))
+                # Single overflow computation per pass, reused by the
+                # exit check and (on the final pass) the report.
+                self.overflow = sum(1 for used in usage.values()
+                                    if used > channel_width)
+                if pass_span is not None:
+                    pass_span.attributes["routed"] = routed_now
+                    pass_span.attributes["failed"] = len(failed)
+                    pass_span.attributes["overflow_edges"] = self.overflow
+            if self.overflow == 0 and not failed:
+                break
+
+    def paths_of(self, net_name: str) -> List[List[Tile]]:
+        return [path for _ordinal, path
+                in sorted(self.trees[net_name].paths)]
+
+    def result(self, connections: int,
+               routes: Dict[str, List[List[Tile]]]) -> RoutingResult:
+        usage = self.usage
+        if self.tracer is not None:
+            self.tracer.counter("route.astar.expanded", "fabric").add(
+                self.stats.expanded)
+            self.tracer.counter("route.ripup.connections", "fabric").add(
+                self.ripped_total)
+        return RoutingResult(
+            wirelength=sum(usage.values()),
+            max_congestion=max(usage.values(), default=0),
+            overflow_edges=self.overflow,
+            routed_connections=connections - len(self.failed),
+            failed_connections=len(self.failed),
+            iterations=self.iterations,
+            channel_width=self.channel_width, routes=routes,
+            expanded_nodes=self.stats.expanded,
+            ripped_connections=self.ripped_total,
+            edge_usage=dict(usage))
+
+    def all_routes(self) -> Dict[str, List[List[Tile]]]:
+        return {net_name: self.paths_of(net_name)
+                for net_name in sorted(self.trees)
+                if self.trees[net_name].paths}
+
+
 def route(netlist: Netlist, locations: Dict[str, Tile],
           grid: Tuple[int, int], channel_width: int = 16,
           max_iterations: int = 3,
@@ -252,204 +499,105 @@ def route(netlist: Netlist, locations: Dict[str, Tile],
     an over-approximate ``reroute_nets`` is a performance choice, never
     a correctness one.
     """
-    cols, rows = grid
+    router = _Router(grid, channel_width, tracer)
     # Deterministic connection order: nets sorted by name, then sinks in
     # sorted order — independent of netlist dict insertion order.
-    Conn = Tuple[str, int, Tile]  # (net name, sink ordinal, sink tile)
-    trees: Dict[str, _NetTree] = {}
-    sink_tiles: Dict[Tuple[str, int], Tile] = {}
-    connections: List[Conn] = []
-    for net_name in sorted(netlist.nets):
-        net = netlist.nets[net_name]
-        if net.driver is None or net.driver not in locations:
-            continue
-        source = locations[net.driver]
-        ordinal = 0
-        for sink in sorted(net.sinks):
-            if sink not in locations:
-                continue
-            target = locations[sink]
-            if target == source:
-                continue
-            connections.append((net_name, ordinal, target))
-            sink_tiles[(net_name, ordinal)] = target
-            ordinal += 1
-        if ordinal:
-            trees[net_name] = _NetTree(source)
-
-    usage: Dict[Edge, int] = {}
+    connections = router.enumerate(netlist, locations, sorted(netlist.nets))
     preloaded: Set[str] = set()
     if warm is not None:
         reroute = set(reroute_nets) if reroute_nets is not None else set()
-        counts: Dict[str, int] = {}
-        for name, _ordinal, _tile in connections:
-            counts[name] = counts.get(name, 0) + 1
-        for net_name in sorted(trees):
-            if net_name in reroute:
-                continue
-            paths = warm.routes.get(net_name)
-            if paths is None or len(paths) != counts.get(net_name, 0):
-                continue
-            tree = trees[net_name]
-            # Preserved paths must still describe this net's connection
-            # endpoints: the first segment starts at the (unmoved)
-            # driver tile and every segment ends at its (unmoved) sink
-            # tile.  Segment-to-tree continuity is an invariant of the
-            # stored artifact — the base run grew the segments on the
-            # tree in ordinal order — so endpoint checks alone detect
-            # every pin move without materializing the node set.
-            valid = True
-            for ordinal, path in enumerate(paths):
-                if not path \
-                        or path[-1] != sink_tiles[(net_name, ordinal)] \
-                        or (ordinal == 0 and path[0] != tree.source):
-                    valid = False
-                    break
-            if not valid:
-                continue
-            for ordinal, path in enumerate(paths):
-                tree.add(ordinal, path)
-            preloaded.add(net_name)
+        preloaded = router.preload(warm, reroute, connections)
         # Seed the congestion state from the persisted occupancy map,
         # then subtract every warm path that was *not* preserved (ripped
         # nets, vanished nets, stale nets) so usage stays exactly the
         # sum of the live trees.
-        usage = dict(warm.edge_usage)
+        router.usage = dict(warm.edge_usage)
+        router.release(path for net_name, paths in warm.routes.items()
+                       if net_name not in preloaded for path in paths)
+    router.negotiate([conn for conn in connections
+                      if conn[0] not in preloaded], max_iterations)
+    return router.result(len(connections), router.all_routes())
+
+
+class WarmRoutes:
+    """A base routing result indexed for repeated ECO delta routing.
+
+    Built once per base implementation: it enumerates the base design's
+    connections to learn each net's connection count and which base
+    trees a warm start could not preserve even untouched (``stale``:
+    trees of failed connections, or routes of nets without a tree).
+    """
+
+    def __init__(self, routing: RoutingResult, netlist: Netlist,
+                 locations: Dict[str, Tile]) -> None:
+        self.routing = routing
+        probe = _Router((1, 1), routing.channel_width, None)
+        connections = probe.enumerate(netlist, locations,
+                                      sorted(netlist.nets))
+        self.connections = len(connections)
+        self.counts: Dict[str, int] = {}
+        for name, _ordinal, _tile in connections:
+            self.counts[name] = self.counts.get(name, 0) + 1
+        preloaded = probe.preload(routing, set(), connections)
+        self.stale: Set[str] = (set(probe.trees) | set(routing.routes)) \
+            - preloaded
+
+
+def reroute(netlist: Netlist, locations: Dict[str, Tile],
+            grid: Tuple[int, int], base: WarmRoutes, dirty: Set[str],
+            channel_width: int = 16, max_iterations: int = 3,
+            tracer: Optional[Tracer] = None
+            ) -> Tuple[RoutingResult, Optional[Set[str]]]:
+    """:func:`route` with ``warm=base.routing, reroute_nets=dirty``, at
+    the cost of the nets it re-routes.
+
+    The caller guarantees that every net whose driver, sinks or pin
+    tiles differ from the base design is in ``dirty``; the other nets'
+    connections then equal the base's, so their base trees are kept
+    without enumerating or checking them.  Returns the result (equal to
+    that :func:`route` call) and the nets whose routes may differ from
+    the base's — ``None`` when the overflow cascade scanned every tree.
+    """
+    router = _Router(grid, channel_width, tracer)
+    warm = base.routing
+    changed = sorted((dirty | base.stale) & netlist.nets.keys())
+    connections = router.enumerate(netlist, locations, changed)
+    preloaded = router.preload(warm, dirty, connections)
+    router.usage = dict(warm.edge_usage)
+    released = (set(changed) | base.stale) - preloaded
+    router.release(path for net_name in sorted(released)
+                   for path in warm.routes.get(net_name, ()))
+    kept = router.trees
+    routes = dict(warm.routes)
+    every_tree = False
+
+    def materialize() -> None:
+        # The targeted rip-up scans every tree: rebuild the kept base
+        # trees from their preserved paths (first segment starts at the
+        # driver tile, each segment ends at its sink tile).
+        nonlocal every_tree
+        every_tree = True
         for net_name, paths in warm.routes.items():
-            if net_name in preloaded:
+            if net_name in kept or net_name in released:
                 continue
-            for path in paths:
-                for a, b in zip(path, path[1:]):
-                    edge = _edge(a, b)
-                    remaining = usage.get(edge, 0) - 1
-                    if remaining > 0:
-                        usage[edge] = remaining
-                    else:
-                        usage.pop(edge, None)
-    stats = _AstarStats()
-    failed: Set[Tuple[str, int]] = set()
-    iterations = 0
-    ripped_total = 0
-    penalty = 0.5
-    overflow = 0
-    full_bounds = (0, cols - 1, 0, rows - 1)
+            tree = _NetTree(paths[0][0])
+            for ordinal, path in enumerate(paths):
+                router.sink_tiles[(net_name, ordinal)] = path[-1]
+                tree.add(ordinal, path)
+            kept[net_name] = tree
 
-    def span(name: str, **attributes):
-        if tracer is None:
-            return nullcontext(None)
-        return tracer.span(name, "fabric", **attributes)
-
-    def route_connection(conn: Conn, margin: int) -> bool:
-        net_name, ordinal, target = conn
-        tree = trees[net_name]
-        if target in tree.nodes:
-            tree.add(ordinal, [target])  # zero-length tap on the tree
-            return True
-        bxmin = min(node[0] for node in tree.nodes)
-        bxmax = max(node[0] for node in tree.nodes)
-        bymin = min(node[1] for node in tree.nodes)
-        bymax = max(node[1] for node in tree.nodes)
-        bounds = (max(0, min(bxmin, target[0]) - margin),
-                  min(cols - 1, max(bxmax, target[0]) + margin),
-                  max(0, min(bymin, target[1]) - margin),
-                  min(rows - 1, max(bymax, target[1]) + margin))
-        path = _astar_tree(tree.nodes, target, bounds, usage,
-                           channel_width, penalty, stats)
-        if path is None and bounds != full_bounds:
-            # Safety net: the bounded window can starve a legal detour.
-            path = _astar_tree(tree.nodes, target, full_bounds, usage,
-                               channel_width, penalty, stats)
-        if path is None:
-            return False
-        for a, b in zip(path, path[1:]):
-            edge = _edge(a, b)
-            usage[edge] = usage.get(edge, 0) + 1
-        tree.add(ordinal, path)
-        return True
-
-    def rip_targeted(over_edges: Set[Edge]) -> List[Conn]:
-        """Tear up only the path segments crossing overflowed edges (and
-        segments stranded by such a rip); keep all other usage."""
-        ripped: List[Conn] = []
-        for net_name in sorted(trees):
-            tree = trees[net_name]
-            if not tree.paths:
-                continue
-            kept: List[Tuple[int, List[Tile]]] = []
-            rebuilt: Set[Tile] = {tree.source}
-            for ordinal, path in tree.paths:
-                crosses = any(_edge(a, b) in over_edges
-                              for a, b in zip(path, path[1:]))
-                stranded = path[0] not in rebuilt
-                if crosses or stranded:
-                    for a, b in zip(path, path[1:]):
-                        edge = _edge(a, b)
-                        remaining = usage[edge] - 1
-                        if remaining:
-                            usage[edge] = remaining
-                        else:
-                            del usage[edge]
-                    ripped.append((net_name, ordinal,
-                                   sink_tiles[(net_name, ordinal)]))
-                else:
-                    kept.append((ordinal, path))
-                    rebuilt.update(path)
-            tree.paths = kept
-            tree._nodes = rebuilt
-        return sorted(ripped)
-
-    pending: List[Conn] = [conn for conn in connections
-                           if conn[0] not in preloaded]
-    for iteration in range(max_iterations):
-        if iteration > 0:
-            penalty *= 4  # negotiate harder next pass
-            over_edges = {edge for edge, used in usage.items()
-                          if used > channel_width}
-            ripped = rip_targeted(over_edges)
-            ripped_total += len(ripped)
-            ripped_keys = {(name, ordinal)
-                           for name, ordinal, _tile in ripped}
-            pending = ripped + [(name, ordinal, sink_tiles[(name, ordinal)])
-                                for name, ordinal in sorted(failed)
-                                if (name, ordinal) not in ripped_keys]
-        iterations += 1
-        margin = _BASE_MARGIN + _MARGIN_PER_PASS * iteration
-        with span("route.pass", iteration=iteration,
-                  connections=len(pending)) as pass_span:
-            routed_now = 0
-            for conn in pending:
-                failed.discard((conn[0], conn[1]))
-                if route_connection(conn, margin):
-                    routed_now += 1
-                else:
-                    failed.add((conn[0], conn[1]))
-            # Single overflow computation per pass, reused by the exit
-            # check and (on the final pass) the report.
-            overflow = sum(1 for used in usage.values()
-                           if used > channel_width)
-            if pass_span is not None:
-                pass_span.attributes["routed"] = routed_now
-                pass_span.attributes["failed"] = len(failed)
-                pass_span.attributes["overflow_edges"] = overflow
-        if overflow == 0 and not failed:
-            break
-
-    routes: Dict[str, List[List[Tile]]] = {}
-    for net_name in sorted(trees):
-        tree = trees[net_name]
-        if tree.paths:
-            routes[net_name] = [path for _ordinal, path
-                                in sorted(tree.paths)]
-    wirelength = sum(usage.values())
-    max_congestion = max(usage.values(), default=0)
-    if tracer is not None:
-        tracer.counter("route.astar.expanded", "fabric").add(stats.expanded)
-        tracer.counter("route.ripup.connections", "fabric").add(ripped_total)
-    return RoutingResult(
-        wirelength=wirelength, max_congestion=max_congestion,
-        overflow_edges=overflow,
-        routed_connections=len(connections) - len(failed),
-        failed_connections=len(failed), iterations=iterations,
-        channel_width=channel_width, routes=routes,
-        expanded_nodes=stats.expanded, ripped_connections=ripped_total,
-        edge_usage=dict(usage))
+    router.before_rip = materialize
+    router.negotiate([conn for conn in connections
+                      if conn[0] not in preloaded], max_iterations)
+    total = base.connections + len(connections) - sum(
+        base.counts.get(net_name, 0) for net_name in changed)
+    if every_tree:
+        return router.result(total, router.all_routes()), None
+    for net_name in released:
+        routes.pop(net_name, None)
+    for net_name in changed:
+        routes.pop(net_name, None)
+        if net_name in router.trees and router.trees[net_name].paths:
+            routes[net_name] = router.paths_of(net_name)
+    routes = dict(sorted(routes.items()))
+    return router.result(total, routes), set(changed) | released

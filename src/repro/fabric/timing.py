@@ -106,32 +106,6 @@ def _cell_delay(cell: Cell, device: Device) -> float:
     raise TimingError(f"no delay model for {cell.kind}")
 
 
-def _cell_tile(cell: Cell,
-               locations: Optional[Dict[str, Tuple[int, int]]]
-               ) -> Optional[Tuple[int, int]]:
-    """A cell's placed tile: the explicit map, else the legacy annotation.
-
-    ``cell.location`` is a deprecation shim — placement no longer writes
-    it (mutating the input netlist poisons content-addressed stage
-    reuse); callers pass ``PlacementResult.locations`` instead.
-
-    When an explicit map is given but does not cover the cell, a stale
-    ``cell.location`` annotation is an error, not a fallback: silently
-    mixing the map's tiles with annotation tiles from some *other*
-    placement produces wire delays no placement ever had.
-    """
-    if locations is not None:
-        tile = locations.get(cell.name)
-        if tile is None and cell.location is not None:
-            raise TimingError(
-                f"cell {cell.name!r} is missing from the placement map "
-                f"but carries a stale location annotation "
-                f"{cell.location!r}; refusing the legacy fallback "
-                f"(see the netlist.stale-placement lint rule)")
-        return tile
-    return cell.location
-
-
 def _net_route_lengths(routing: RoutingResult) -> Dict[str, int]:
     """Routed length of every net, computed once per analysis.
 
@@ -148,8 +122,10 @@ def _wire_delay(netlist: Netlist, driver: Cell, sink: Cell, device: Device,
                 net_lengths: Optional[Dict[str, int]],
                 locations: Optional[Dict[str, Tuple[int, int]]] = None
                 ) -> float:
-    driver_tile = _cell_tile(driver, locations)
-    sink_tile = _cell_tile(sink, locations)
+    if locations is None:
+        return device.wire_delay_per_tile_ns  # unplaced: nominal hop
+    driver_tile = locations.get(driver.name)
+    sink_tile = locations.get(sink.name)
     if driver_tile is None or sink_tile is None:
         return device.wire_delay_per_tile_ns  # unplaced: nominal hop
     if net_lengths is not None and driver.output in net_lengths:
@@ -312,12 +288,16 @@ def _endpoint_delay(netlist: Netlist, device: Device,
 
 def _report_from_state(netlist: Netlist, device: Device,
                        target_clock_ns: Optional[float],
-                       state: StaState) -> TimingReport:
+                       state: StaState,
+                       endpoint_keys: Optional[List[str]] = None
+                       ) -> TimingReport:
     """Critical-path selection + report rendering from analysis state."""
     critical = 0.0
     endpoint = None
     end_source = None
-    for key in _endpoint_keys(netlist):
+    if endpoint_keys is None:
+        endpoint_keys = _endpoint_keys(netlist)
+    for key in endpoint_keys:
         value = state.endpoint_delays.get(key)
         if value is None:
             continue
@@ -390,70 +370,11 @@ def analyze_timing(netlist: Netlist, device: Device,
     return report
 
 
-def analyze_timing_cone(netlist: Netlist, device: Device, base: StaState,
-                        changed_cells: Iterable[str],
-                        changed_nets: Iterable[str],
-                        target_clock_ns: Optional[float] = None,
-                        routing: Optional[RoutingResult] = None,
-                        locations: Optional[Dict[str, Tuple[int, int]]]
-                        = None) -> Tuple[TimingReport, StaState, int]:
-    """Cone-limited re-analysis after an incremental edit.
-
-    Worklist-driven: seeds with the changed cells and the sinks of the
-    changed nets, recomputes each reached cell's arrival against the
-    merged state, and follows fan-out only where the value *actually
-    changed* — the cone is the damped ripple of the edit, not the full
-    static forward closure (which on deep combinational designs is most
-    of the netlist even for a one-cell edit).  Results merge into
-    ``base`` — the cached state of the full analysis of the *pre-edit*
-    design.  ``changed_nets`` must name every net whose routed length
-    or fanout differs from the base analysis (the ECO flow passes its
-    rip-up set); under that contract the merged report equals a full
-    re-analysis of the edited design exactly.
-
-    Returns ``(report, merged state, cone size)`` — cone size counts
-    the cells whose arrival was recomputed.
-    """
-    net_lengths = (_net_route_lengths(routing)
-                   if routing is not None else None)
-    changed_cell_set = {name for name in changed_cells
-                        if name in netlist.cells}
-    changed_net_set = {name for name in changed_nets
-                       if name in netlist.nets}
-
-    # Start from the base state pruned to surviving cells.
-    merged_arrivals: Dict[str, float] = {}
-    merged_parents: Dict[str, Optional[str]] = {}
-    for name, value in base.arrivals.items():
-        if name in netlist.cells:
-            merged_arrivals[name] = value
-            merged_parents[name] = base.parents.get(name)
-
-    def input_arrival(cell: Cell) -> Tuple[float, Optional[str]]:
-        worst = 0.0
-        source: Optional[str] = None
-        for net_name in cell.inputs:
-            net = netlist.nets.get(net_name)
-            if not net or not net.driver:
-                continue
-            driver = netlist.cells[net.driver]
-            wire = _wire_delay(netlist, driver, cell, device, net_lengths,
-                               locations)
-            if driver.is_sequential:
-                candidate = _cell_delay(driver, device) + wire
-            else:
-                candidate = merged_arrivals.get(driver.name, 0.0) + wire
-            if candidate > worst:
-                worst = candidate
-                source = driver.name
-        return worst, source
-
-    # Topological levels of the combinational cells (one cheap Kahn
-    # pass — no delay arithmetic).  Processing the worklist in level
-    # order guarantees every predecessor's final value lands before a
-    # cell is recomputed, so each reached cell is visited exactly once;
-    # a plain FIFO fixpoint would revisit deep cells once per upstream
-    # change.  The pass also detects combinational loops.
+def _levels(netlist: Netlist) -> Dict[str, int]:
+    """Topological levels of the combinational cells (one cheap Kahn
+    pass — no delay arithmetic): a cell's level exceeds the level of
+    every combinational cell driving it; cells at level 0 are omitted.
+    Raises :class:`TimingError` on a combinational loop."""
     level: Dict[str, int] = {}
     indegree: Dict[str, int] = {}
     for cell in netlist.cells.values():
@@ -487,7 +408,96 @@ def analyze_timing_cone(netlist: Netlist, device: Device, base: StaState,
     if processed < len(indegree):
         raise TimingError(
             "combinational loop detected during incremental STA")
+    return level
 
+
+def analyze_timing_cone(netlist: Netlist, device: Device, base: StaState,
+                        changed_cells: Iterable[str],
+                        changed_nets: Iterable[str],
+                        target_clock_ns: Optional[float] = None,
+                        routing: Optional[RoutingResult] = None,
+                        locations: Optional[Dict[str, Tuple[int, int]]]
+                        = None) -> Tuple[TimingReport, StaState, int]:
+    """Cone-limited re-analysis after an incremental edit.
+
+    Worklist-driven: seeds with the changed cells and the sinks of the
+    changed nets, recomputes each reached cell's arrival against the
+    merged state, and follows fan-out only where the value *actually
+    changed* — the cone is the damped ripple of the edit, not the full
+    static forward closure (which on deep combinational designs is most
+    of the netlist even for a one-cell edit).  Results merge into
+    ``base`` — the cached state of the full analysis of the *pre-edit*
+    design.  ``changed_nets`` must name every net whose routed length
+    or fanout differs from the base analysis (the ECO flow passes its
+    rip-up set); under that contract the merged report equals a full
+    re-analysis of the edited design exactly.
+
+    Returns ``(report, merged state, cone size)`` — cone size counts
+    the cells whose arrival was recomputed.
+    """
+    keys = _endpoint_keys(netlist)
+    valid = set(keys)
+    return _cone(netlist, device, base, changed_cells, changed_nets,
+                 target_clock_ns,
+                 _net_route_lengths(routing) if routing is not None
+                 else None,
+                 locations, _levels(netlist), keys,
+                 [key for key in base.endpoint_delays if key not in valid])
+
+
+def _cone(netlist: Netlist, device: Device, base: StaState,
+          changed_cells: Iterable[str], changed_nets: Iterable[str],
+          target_clock_ns: Optional[float],
+          net_lengths: Optional[Dict[str, int]],
+          locations: Optional[Dict[str, Tuple[int, int]]],
+          level: Dict[str, int], endpoint_keys: List[str],
+          stale_keys: Iterable[str]
+          ) -> Tuple[TimingReport, StaState, int]:
+    """:func:`analyze_timing_cone` on precomputed inputs: the routed
+    net lengths, a topological ranking ``level`` of the combinational
+    cells, the endpoint keys in scan order, and the base endpoint keys
+    that are no longer endpoints.
+
+    ``level`` may be any ranking in which every combinational cell
+    ranks above the combinational cells driving it: the worklist pops
+    each reached cell once, after all of its reached predecessors, so
+    arrivals, parents and the cone are the same for every such ranking.
+    """
+    changed_cell_set = {name for name in changed_cells
+                        if name in netlist.cells}
+    changed_net_set = {name for name in changed_nets
+                       if name in netlist.nets}
+
+    # Start from the base state pruned to surviving cells.
+    merged_arrivals = dict(base.arrivals)
+    merged_parents = dict(base.parents)
+    for name in base.arrivals.keys() - netlist.cells.keys():
+        del merged_arrivals[name]
+        del merged_parents[name]
+
+    def input_arrival(cell: Cell) -> Tuple[float, Optional[str]]:
+        worst = 0.0
+        source: Optional[str] = None
+        for net_name in cell.inputs:
+            net = netlist.nets.get(net_name)
+            if not net or not net.driver:
+                continue
+            driver = netlist.cells[net.driver]
+            wire = _wire_delay(netlist, driver, cell, device, net_lengths,
+                               locations)
+            if driver.is_sequential:
+                candidate = _cell_delay(driver, device) + wire
+            else:
+                candidate = merged_arrivals.get(driver.name, 0.0) + wire
+            if candidate > worst:
+                worst = candidate
+                source = driver.name
+        return worst, source
+
+    # Processing the worklist in level order guarantees every
+    # predecessor's final value lands before a cell is recomputed, so
+    # each reached cell is visited exactly once; a plain FIFO fixpoint
+    # would revisit deep cells once per upstream change.
     heap: List[Tuple[int, str]] = []
     queued: Set[str] = set()
 
@@ -540,27 +550,22 @@ def analyze_timing_cone(netlist: Netlist, device: Device, base: StaState,
         output = netlist.cells[name].output
         if output:
             affected_nets.add(output)
-    valid_keys = _endpoint_keys(netlist)
-    recompute: List[str] = []
-    for key in valid_keys:
-        kind, _, name = key.partition(":")
-        if kind == "cell":
-            cell = netlist.cells[name]
-            if name in changed_cell_set or \
-                    any(net in affected_nets for net in cell.inputs):
-                recompute.append(key)
-        elif name in affected_nets:
-            recompute.append(key)
+    recompute = {f"cell:{name}" for name in changed_cell_set
+                 if netlist.cells[name].is_sequential}
+    outputs = set(netlist.outputs)
+    for net_name in affected_nets:
+        for sink in netlist.nets[net_name].sinks:
+            if netlist.cells[sink].is_sequential:
+                recompute.add(f"cell:{sink}")
+        if net_name in outputs:
+            recompute.add(f"out:{net_name}")
 
-    recompute_set = set(recompute)
-    valid_set = set(valid_keys)
-    merged_delays: Dict[str, float] = {}
-    merged_sources: Dict[str, Optional[str]] = {}
-    for key, value in base.endpoint_delays.items():
-        if key in valid_set and key not in recompute_set:
-            merged_delays[key] = value
-            merged_sources[key] = base.endpoint_sources.get(key)
-    for key in recompute:
+    merged_delays = dict(base.endpoint_delays)
+    merged_sources = dict(base.endpoint_sources)
+    for key in recompute.union(stale_keys):
+        merged_delays.pop(key, None)
+        merged_sources.pop(key, None)
+    for key in sorted(recompute):
         found = _endpoint_delay(netlist, device, net_lengths, locations,
                                 merged_arrivals, key)
         if found is not None:
@@ -570,5 +575,5 @@ def analyze_timing_cone(netlist: Netlist, device: Device, base: StaState,
     state = StaState(arrivals=merged_arrivals, parents=merged_parents,
                      endpoint_delays=merged_delays,
                      endpoint_sources=merged_sources)
-    return _report_from_state(netlist, device, target_clock_ns,
-                              state), state, len(cone)
+    return _report_from_state(netlist, device, target_clock_ns, state,
+                              endpoint_keys), state, len(cone)

@@ -95,51 +95,6 @@ class TestSeededDefects:
         assert report.diagnostics == []
 
 
-class TestStalePlacement:
-    """The fixture behind analyze_timing's stale-annotation refusal:
-    the lint rule flags exactly the netlists the STA guard rejects."""
-
-    def _annotated(self):
-        netlist = Netlist("annotated")
-        netlist.add_input("a")
-        netlist.add_cell(Cell(name="u", kind=LUT4, inputs=["a"],
-                              output="n0"))
-        netlist.add_cell(Cell(name="v", kind=LUT4, inputs=["n0"],
-                              output="y"))
-        netlist.add_output("y")
-        netlist.cells["v"].location = (7, 7)
-        return netlist
-
-    def test_annotated_cells_fire_the_rule(self):
-        report = _lint(self._annotated(),
-                       rules=["netlist.stale-placement"])
-        assert len(report.diagnostics) == 1
-        diagnostic = report.diagnostics[0]
-        assert diagnostic.severity is Severity.WARNING
-        assert diagnostic.location == "cell:v"
-        assert "PlacementResult.locations" in diagnostic.message
-
-    def test_sta_guard_rejects_what_the_rule_flags(self):
-        # A partial explicit locations dict must never silently fall
-        # back to the annotation the rule just flagged.
-        import pytest
-
-        from repro.fabric import NG_ULTRA, scaled_device
-        from repro.fabric.timing import TimingError, analyze_timing
-
-        netlist = self._annotated()
-        device = scaled_device(NG_ULTRA, "NG-ULTRA-TEST", luts=256)
-        with pytest.raises(TimingError, match="stale-placement"):
-            analyze_timing(netlist, device, target_clock_ns=10.0,
-                           locations={"u": (0, 0)})
-
-    def test_unannotated_netlist_is_clean(self):
-        netlist = self._annotated()
-        netlist.cells["v"].location = None
-        report = _lint(netlist, rules=["netlist.stale-placement"])
-        assert report.diagnostics == []
-
-
 class TestValidateDelegation:
     def test_validate_returns_only_errors(self):
         errors = defective_netlist().validate()

@@ -47,7 +47,6 @@ from repro.fabric import (
 )
 from repro.fabric.netlist import DFF, LUT4
 from repro.fabric.routing import _usage_of_paths
-from repro.fabric.timing import TimingError
 
 
 def small_device():
@@ -342,23 +341,6 @@ class TestConeSta:
             assert json.dumps(cone_report.to_json(), sort_keys=True) \
                 == json.dumps(full_report.to_json(), sort_keys=True)
             assert 0 <= cone <= len(edited.cells)
-
-    def test_stale_location_annotation_raises(self):
-        # Satellite of the ECO work: a partial placement map plus a
-        # leftover cell.location annotation must be an error, never a
-        # silent mixed-placement fallback.
-        netlist = Netlist("stale")
-        netlist.add_input("a")
-        netlist.add_cell(Cell(name="u", kind=LUT4, inputs=["a"],
-                              output="x"))
-        netlist.add_cell(Cell(name="v", kind=DFF, inputs=["x"],
-                              output="q"))
-        netlist.add_output("q")
-        netlist.cells["v"].location = (7, 7)      # stale annotation
-        locations = {"u": (0, 0)}                 # v missing from map
-        with pytest.raises(TimingError, match="stale location"):
-            analyze_timing(netlist, small_device(),
-                           target_clock_ns=10.0, locations=locations)
 
 
 class TestEcoFlowEndToEnd:

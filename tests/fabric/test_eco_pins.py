@@ -35,7 +35,6 @@ from repro.fabric import (
     RetargetOutput,
     SetConstraint,
     analyze_timing_cone,
-    generate_bitstream,
     random_delta,
 )
 from repro.fabric.netlist import BRAM, DFF, DSP, LUT4
@@ -152,13 +151,6 @@ def rip_set(flow):
     return rip
 
 
-def eco_bitstream(flow, report):
-    """The bitstream of the edited design."""
-    return generate_bitstream(flow.netlist, flow.placement.locations,
-                              flow.placement.grid, flow.project.device.name,
-                              seed=flow.project.seed)
-
-
 def eco_digests(design, case):
     project = base_project(design)
     flow = EcoFlow(project, make_delta(design, case))
@@ -171,7 +163,7 @@ def eco_digests(design, case):
         changed_nets=rip_set(flow),
         target_clock_ns=report.flow.timing.target_clock_ns,
         routing=flow.routing, locations=flow.placement.locations)
-    bitstream = eco_bitstream(flow, report)
+    bitstream = flow.bitstream
     return {
         "report": _digest(report.to_json()),
         "routing": _digest(report.flow.routing.to_json()),
