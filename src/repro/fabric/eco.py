@@ -447,6 +447,9 @@ class _WarmStart:
         self.ys = ys
         self.sites = sites
         self.added: List[Tuple[int, str]] = []
+        # Cell names by index and the base tiles (set by ``replay``).
+        self.names: List[str] = []
+        self.homes: Mapping[str, Tuple[int, int]] = {}
 
     @classmethod
     def replay(cls, netlist: Netlist, device: Device,
@@ -457,8 +460,7 @@ class _WarmStart:
                     [_SiteManager.site_class(cell.kind)
                      for cell in netlist.cells.values()],
                     [0] * len(names), [0] * len(names), _SiteManager(grid))
-        start.names = names
-        start.homes = base.locations
+        start.names, start.homes = names, base.locations
         start.occupy(netlist, base.locations)
         return start
 

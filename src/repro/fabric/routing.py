@@ -531,6 +531,8 @@ class WarmRoutes:
     def __init__(self, routing: RoutingResult, netlist: Netlist,
                  locations: Dict[str, Tile]) -> None:
         self.routing = routing
+        # Only the connection bookkeeping of a router is used here, so
+        # its grid does not matter.
         probe = _Router((1, 1), routing.channel_width, None)
         connections = probe.enumerate(netlist, locations,
                                       sorted(netlist.nets))
@@ -567,24 +569,22 @@ def reroute(netlist: Netlist, locations: Dict[str, Tile],
     released = (set(changed) | base.stale) - preloaded
     router.release(path for net_name in sorted(released)
                    for path in warm.routes.get(net_name, ()))
-    kept = router.trees
-    routes = dict(warm.routes)
     every_tree = False
 
     def materialize() -> None:
-        # The targeted rip-up scans every tree: rebuild the kept base
-        # trees from their preserved paths (first segment starts at the
-        # driver tile, each segment ends at its sink tile).
+        # The targeted rip-up scans every tree: rebuild the preserved
+        # base trees that were never enumerated from their paths (the
+        # first segment starts at the driver tile, each segment ends at
+        # its sink tile).
         nonlocal every_tree
         every_tree = True
         for net_name, paths in warm.routes.items():
-            if net_name in kept or net_name in released:
+            if net_name in router.trees or net_name in released:
                 continue
-            tree = _NetTree(paths[0][0])
+            tree = router.trees[net_name] = _NetTree(paths[0][0])
             for ordinal, path in enumerate(paths):
                 router.sink_tiles[(net_name, ordinal)] = path[-1]
                 tree.add(ordinal, path)
-            kept[net_name] = tree
 
     router.before_rip = materialize
     router.negotiate([conn for conn in connections
@@ -593,11 +593,11 @@ def reroute(netlist: Netlist, locations: Dict[str, Tile],
         base.counts.get(net_name, 0) for net_name in changed)
     if every_tree:
         return router.result(total, router.all_routes()), None
+    # Preserved nets keep their base paths; released ones take their
+    # new trees (or vanish).
+    routes = dict(warm.routes)
     for net_name in released:
-        routes.pop(net_name, None)
-    for net_name in changed:
         routes.pop(net_name, None)
         if net_name in router.trees and router.trees[net_name].paths:
             routes[net_name] = router.paths_of(net_name)
-    routes = dict(sorted(routes.items()))
-    return router.result(total, routes), set(changed) | released
+    return router.result(total, dict(sorted(routes.items()))), released

@@ -473,7 +473,7 @@ def _cone(netlist: Netlist, device: Device, base: StaState,
     merged_parents = dict(base.parents)
     for name in base.arrivals.keys() - netlist.cells.keys():
         del merged_arrivals[name]
-        del merged_parents[name]
+        merged_parents.pop(name, None)
 
     def input_arrival(cell: Cell) -> Tuple[float, Optional[str]]:
         worst = 0.0
