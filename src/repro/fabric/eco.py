@@ -4,33 +4,47 @@ HERMES's qualification loop is iterate-heavy: designers make small
 netlist or constraint edits and re-run the whole NXmap-style flow, and
 on real rad-hard designs those place-and-route iterations dominate the
 turnaround.  This module makes the edit a first-class object and the
-re-implementation incremental:
+re-implementation cost what the edit costs:
 
 * :class:`NetlistDelta` — a typed edit script (add/remove/resize cell,
   reconnect an input pin, retarget an output, constraint change) with a
-  canonical JSON form and a content fingerprint.
-  ``Netlist.apply_delta`` applies it to a *copy*, so the base netlist's
-  content fingerprint stays stable and equal (base, delta) pairs yield
-  structurally identical edited netlists.
+  canonical JSON form and a content fingerprint.  ``apply`` edits a
+  copy-on-write :meth:`~repro.fabric.netlist.Netlist.edit_copy`: the
+  base netlist and its content fingerprint never change, and equal
+  (base, delta) pairs yield structurally identical edited netlists.
 * :class:`EcoFlow` — re-implements only what the edit touched:
 
+  - **delta checks**: undriven nets and dangling outputs can appear
+    only on touched nets, and a new combinational loop only through a
+    new combinational edge, so the edit is validated on the delta (the
+    full ``Netlist.validate()`` decides whenever that finds anything);
   - **warm-start placement** (:func:`eco_place`): the annealer starts
     from the cached base placement; only the changed cells and their
     net neighborhood are movable, annealed at low temperature inside a
-    VPR-style range limit — every other cell is frozen bit-identical.
-  - **delta routing**: only route trees whose nets touch changed cells
-    (plus whatever the overflow cascade rips) are torn up; the router
-    seeds its negotiation from the base result's persisted
-    ``edge_usage`` congestion state (``route(warm=..., reroute_nets=...)``).
+    VPR-style range limit — every other cell is frozen bit-identical;
+  - **delta routing** (:func:`~repro.fabric.routing.reroute`): only
+    the route trees of nets whose connectivity or pin tiles changed
+    (plus whatever the overflow cascade rips) are torn up; every other
+    base tree and its channel usage are kept without being re-checked;
   - **cone-limited STA** (:func:`~repro.fabric.timing.analyze_timing_cone`):
     arrivals are re-propagated only over the fan-out cone of the
     changed cells and the re-routed nets, then merged into the cached
-    full-timing state.
+    full-timing state;
+  - **bitstream patching** (:func:`~repro.fabric.bitstream.patch_bitstream`):
+    only the tiles whose cells or config words changed are rewritten.
+
+  Each stage starts from state derived once per base implementation —
+  the base HPWL, site occupancy, routing index, STA levels, route
+  lengths, endpoint keys, full-STA state and bitstream — kept on the
+  base :class:`NXmapProject` and shared by every flow on it
+  (:class:`_EcoBase`).  An edit patches copies of that state, and every
+  result is byte-identical to the full computation it replaces
+  (``tests/fabric/test_eco_differential.py``).
 
 Every ECO stage result is content-addressed under a *delta-chained*
 key: ``content_key(base stage key, canonical delta, options)``.  The
 same edit submitted twice — from the CLI, the API (job kind ``eco``) or
-the PR-9 service — is therefore a warm cache hit with a byte-identical
+the job service — is therefore a warm cache hit with a byte-identical
 report.
 
 Telemetry counters: ``eco.cells.moved``, ``eco.nets.ripped``,
@@ -44,6 +58,7 @@ import random
 from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import islice
 from typing import Any, Callable, Dict, FrozenSet, List, Mapping, \
     Optional, Sequence, Set, Tuple, Union
@@ -748,11 +763,12 @@ class _EcoBase:
 
     It lives on the base :class:`NXmapProject` and serves every
     :class:`EcoFlow` of the same base placement and routing.  The base
-    full-STA state comes from :meth:`EcoFlow.prepare_base`; everything
-    else is derived once, on the first edit (:meth:`derive`), and each
-    edit patches copies of it:
+    full-STA state comes from :meth:`EcoFlow.prepare_base`; every other
+    piece is derived from the base design once, by the first edit whose
+    computed stages need it (a stage served from the cache needs none),
+    and each edit patches copies of it:
 
-    * cell and net positions, netlist stats, primary ports;
+    * netlist stats, primary ports and cell and net positions;
     * the warm-start arrays and site occupancy (:class:`_PatchedStart`)
       and every base net's HPWL span;
     * the routing index (:class:`~repro.fabric.routing.WarmRoutes`);
@@ -762,74 +778,112 @@ class _EcoBase:
 
     def __init__(self, project: NXmapProject, sta: StaState) -> None:
         self.project = project
+        self.netlist = project.netlist
         self.placement = project.placement
         self.routing = project.routing
         self.sta = sta
-        self.derived = False
 
     def serves(self, project: NXmapProject) -> bool:
         return (project._eco_base is self
                 and project.placement is self.placement
                 and project.routing is self.routing)
 
-    def derive(self) -> None:
-        if self.derived:
-            return
-        project = self.project
-        netlist = project.netlist
+    @cached_property
+    def stats(self) -> Dict[str, int]:
+        return self.netlist.stats()
+
+    @cached_property
+    def ports(self) -> Tuple[Set[str], Set[str]]:
+        """The primary input and output net names."""
+        return set(self.netlist.inputs), set(self.netlist.outputs)
+
+    @cached_property
+    def order(self) -> Dict[str, int]:
+        return {name: index for index, name
+                in enumerate(self.netlist.cells)}
+
+    @cached_property
+    def net_order(self) -> Dict[str, int]:
+        return {name: index for index, name
+                in enumerate(self.netlist.nets)}
+
+    @cached_property
+    def locations(self) -> Dict[str, Tuple[int, int]]:
+        """The base tiles of the base cells, in netlist order."""
         locations = self.placement.locations
-        self.netlist = netlist
-        self.stats = netlist.stats()
-        self.inputs = set(netlist.inputs)
-        self.outputs = set(netlist.outputs)
-        self.order = {name: index for index, name
-                      in enumerate(netlist.cells)}
-        self.net_order = {name: index for index, name
-                          in enumerate(netlist.nets)}
-        self.locations = {name: locations[name] for name in netlist.cells
-                          if name in locations}
-        # The patched warm start needs a base placement of exactly the
-        # base cells that replays legally; otherwise edits replay.
-        self.warm: Optional[_WarmStart] = None
-        if len(self.locations) == len(netlist.cells) == len(locations):
-            try:
-                self.warm = _WarmStart.replay(netlist, project.device,
-                                              self.placement)
-            except FlowError:
-                pass
-        self.span: Dict[str, Optional[int]] = {}
-        self.span_total = 0
-        self.degenerate = 0
-        if self.warm is not None:
-            for net in netlist.nets.values():
-                span = self.warm.span(net)
-                self.span[net.name] = span
-                if span is None:
-                    self.degenerate += 1
-                else:
-                    self.span_total += span
-        self.routes = WarmRoutes(self.routing, netlist, locations)
-        self.levels = _levels(netlist)
-        self.net_lengths = _net_route_lengths(self.routing)
-        self.seq_keys = [f"cell:{name}" for name, cell
-                         in netlist.cells.items() if cell.is_sequential]
-        self.out_keys = [f"out:{name}" for name in netlist.outputs]
-        self.bitstream = generate_bitstream(
-            netlist, locations, self.placement.grid, project.device.name,
-            seed=project.seed)
-        self.tile_cells: Dict[Tuple[int, int], List[str]] = {}
-        for name in netlist.cells:
-            tile = locations.get(name)
-            if tile is not None:
-                self.tile_cells.setdefault(tile, []).append(name)
-        self.derived = True
+        return {name: locations[name] for name in self.netlist.cells
+                if name in locations}
+
+    @cached_property
+    def warm(self) -> Optional[_WarmStart]:
+        """The base warm start, or ``None`` when edits must replay it:
+        the patched start needs a base placement of exactly the base
+        cells that replays legally."""
+        locations = self.placement.locations
+        if not len(self.locations) == len(self.netlist.cells) \
+                == len(locations):
+            return None
+        try:
+            return _WarmStart.replay(self.netlist, self.project.device,
+                                     self.placement)
+        except FlowError:
+            return None
+
+    @cached_property
+    def spans(self) -> Tuple[Dict[str, Optional[int]], int, int]:
+        """Every base net's HPWL span (``None`` below two pins), their
+        integer total and the count of ``None`` spans."""
+        spans: Dict[str, Optional[int]] = {}
+        total = degenerate = 0
+        for net in self.netlist.nets.values():
+            span = spans[net.name] = self.warm.span(net)
+            if span is None:
+                degenerate += 1
+            else:
+                total += span
+        return spans, total, degenerate
+
+    @cached_property
+    def routes(self) -> WarmRoutes:
+        return WarmRoutes(self.routing, self.netlist,
+                          self.placement.locations)
+
+    @cached_property
+    def levels(self) -> Dict[str, int]:
+        return _levels(self.netlist)
+
+    @cached_property
+    def net_lengths(self) -> Dict[str, int]:
+        return _net_route_lengths(self.routing)
+
+    @cached_property
+    def endpoint_keys(self) -> Tuple[List[str], List[str]]:
+        """The register and primary-output endpoint keys."""
+        return ([f"cell:{name}" for name, cell
+                 in self.netlist.cells.items() if cell.is_sequential],
+                [f"out:{name}" for name in self.netlist.outputs])
+
+    @cached_property
+    def bitstream(self) -> Bitstream:
+        project = self.project
+        return generate_bitstream(
+            self.netlist, self.placement.locations, self.placement.grid,
+            project.device.name, seed=project.seed)
+
+    @cached_property
+    def tile_cells(self) -> Dict[Tuple[int, int], List[str]]:
+        """Each tile's base cells, in netlist order."""
+        cells: Dict[Tuple[int, int], List[str]] = {}
+        for name, tile in self.locations.items():
+            cells.setdefault(tile, []).append(name)
+        return cells
 
     # -- per-edit patches --------------------------------------------------
 
     def gone(self, impact: DeltaImpact) -> Set[str]:
         """Base cells that left their place in the cell order."""
         return {name for name in impact.removed | impact.added
-                if name in self.order}
+                if name in self.netlist.cells}
 
     def check(self, netlist: Netlist, impact: DeltaImpact,
               device: Device) -> Tuple[Optional[Dict[str, int]],
@@ -844,12 +898,13 @@ class _EcoBase:
         :meth:`Netlist.validate` decides, so a rejection carries its
         exact message.
         """
-        added_outputs = set(netlist.outputs[len(self.out_keys):])
+        inputs, outputs = self.ports
+        added_outputs = set(netlist.outputs[len(self.netlist.outputs):])
         suspect = False
         for name in impact.touched_nets:
             net = netlist.nets[name]
-            if net.driver is None and name not in self.inputs and (
-                    net.sinks or name in self.outputs
+            if net.driver is None and name not in inputs and (
+                    net.sinks or name in outputs
                     or name in added_outputs):
                 suspect = True
                 break
@@ -880,14 +935,13 @@ class _EcoBase:
         """The edited design's endpoint keys in scan order, and the base
         keys that may no longer be endpoints."""
         gone = self.gone(impact)
-        seq = self.seq_keys
+        seq, out = self.endpoint_keys
         if gone:
             seq = [key for key in seq if key[5:] not in gone]
         keys = seq + [f"cell:{name}" for name in tail
                       if netlist.cells[name].is_sequential]
-        keys += self.out_keys
-        keys += [f"out:{name}"
-                 for name in netlist.outputs[len(self.out_keys):]]
+        keys += out
+        keys += [f"out:{name}" for name in netlist.outputs[len(out):]]
         return keys, [f"cell:{name}" for name in sorted(gone)]
 
     def net_lengths_after(self, routing: RoutingResult,
@@ -993,11 +1047,10 @@ class _PatchedStart(_WarmStart):
         # The base total with the touched nets' spans swapped: integer
         # spans, so exact; a net with fewer than two pins adds 0.0 and
         # makes ``total_hpwl`` a float.
-        base = self.base
-        total, degenerate = base.span_total, base.degenerate
+        spans, total, degenerate = self.base.spans
         for name in self.touched:
-            if name in base.span:
-                old = base.span[name]
+            if name in spans:
+                old = spans[name]
                 if old is None:
                     degenerate -= 1
                 else:
@@ -1183,13 +1236,12 @@ class EcoFlow:
         return self._base_state
 
     def _base(self, base_state: StaState) -> _EcoBase:
-        """The project's per-base state for ``base_state``, derived."""
+        """The project's per-base state for ``base_state``."""
         project = self.project
         base = project._eco_base
         if base is None or not base.serves(project) \
                 or base.sta is not base_state:
             base = project._eco_base = _EcoBase(project, base_state)
-        base.derive()
         return base
 
     def run(self, target_clock_ns: float = 10.0, effort: float = 1.0,

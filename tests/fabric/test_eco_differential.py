@@ -29,7 +29,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.cache import netlist_fingerprint
+from repro.cache import FlowCache, netlist_fingerprint
 from repro.fabric import (
     AddCell,
     EcoFlow,
@@ -287,25 +287,42 @@ def test_scripted_deltas_match_the_oracles(design, fraction, seed):
 
 
 def test_edits_share_one_base():
-    """The per-base state is derived once and serves every later flow
-    on the same base implementation; a new placement retires it."""
+    """The per-base state is built once per base implementation and
+    serves every later flow on it; a new placement retires it."""
     project = make_project(60, 3, True, 0)
-    flows = [EcoFlow(project, random_delta(project.netlist, 0.05,
-                                           seed=seed))
-             for seed in range(3)]
-    for flow in flows:
+    flows = []
+    for seed in range(3):
+        flow = EcoFlow(project, random_delta(project.netlist, 0.05,
+                                             seed=seed))
         flow.run(target_clock_ns=10.0, effort=0.3, channel_width=8)
-    base = project._eco_base
-    assert base.derived and base.serves(project)
+        flows.append(flow)
+        if seed == 0:
+            base = project._eco_base
+            pieces = dict(vars(base))
+    assert {"warm", "spans", "routes", "levels", "endpoint_keys",
+            "bitstream", "tile_cells"} <= pieces.keys()
+    assert project._eco_base is base and base.serves(project)
     assert all(flow._base_state is base.sta for flow in flows)
-    # A second derive is a no-op: the derived state is kept as is.
-    bitstream = base.bitstream
-    flows[-1]._base(flows[-1]._base_state)
-    assert project._eco_base is base and base.bitstream is bitstream
+    assert all(vars(base)[name] is value for name, value in pieces.items())
     project.run_place(effort=0.3)
     project.run_route(channel_width=8)
     assert not base.serves(project)
-    flow = EcoFlow(project, random_delta(project.netlist, 0.05, seed=9))
-    flow.run(target_clock_ns=10.0, effort=0.3, channel_width=8)
-    assert project._eco_base is not base
     check_edit(project, random_delta(project.netlist, 0.05, seed=9))
+    assert project._eco_base is not base
+
+
+def test_cache_hits_derive_nothing():
+    """An edit whose stages all come from the cache builds none of the
+    per-base pieces those stages would need."""
+    cache = FlowCache()
+    delta = random_delta(random_netlist(60, seed=4), 0.05, seed=2)
+    reports = []
+    for _ in range(2):
+        project = NXmapProject(random_netlist(60, seed=4), small_device(),
+                               seed=1, cache=cache)
+        flow = EcoFlow(project, delta)
+        reports.append(flow.run(target_clock_ns=10.0, effort=0.3,
+                                channel_width=8).to_json())
+    assert reports[0] == reports[1]
+    assert not {"warm", "routes", "net_lengths", "bitstream"} \
+        & vars(project._eco_base).keys()
