@@ -90,12 +90,14 @@ class Netlist:
 
     def ensure_net(self, name: str) -> Net:
         """The net called ``name``, created if missing; writable."""
-        if name not in self.nets:
-            self.nets[name] = Net(name)
-            if self._owned_nets is not None:
-                self._owned_nets.add(name)
-            return self.nets[name]
-        return self.writable_net(name)
+        if name in self.nets:
+            if self._owned_nets is None:
+                return self.nets[name]
+            return self.writable_net(name)
+        net = self.nets[name] = Net(name)
+        if self._owned_nets is not None:
+            self._owned_nets.add(name)
+        return net
 
     def add_cell(self, cell: Cell) -> Cell:
         if cell.name in self.cells:
