@@ -75,11 +75,6 @@ class Netlist:
         self.inputs: List[str] = []       # primary input net names
         self.outputs: List[str] = []      # primary output net names
         self._counter = itertools.count()
-        # Copy-on-write bookkeeping of an edit copy (``edit_copy``): the
-        # cells and nets this netlist has cloned away from its source.
-        # ``None`` when it owns every object.
-        self._owned_cells: Optional[Set[str]] = None
-        self._owned_nets: Optional[Set[str]] = None
 
     # -- construction ------------------------------------------------------
 
@@ -90,21 +85,14 @@ class Netlist:
 
     def ensure_net(self, name: str) -> Net:
         """The net called ``name``, created if missing; writable."""
-        if name in self.nets:
-            if self._owned_nets is None:
-                return self.nets[name]
-            return self.writable_net(name)
-        net = self.nets[name] = Net(name)
-        if self._owned_nets is not None:
-            self._owned_nets.add(name)
-        return net
+        if name not in self.nets:
+            self.nets[name] = Net(name)
+        return self.nets[name]
 
     def add_cell(self, cell: Cell) -> Cell:
         if cell.name in self.cells:
             raise NetlistError(f"duplicate cell {cell.name!r}")
         self.cells[cell.name] = cell
-        if self._owned_cells is not None:
-            self._owned_cells.add(cell.name)
         for net_name in cell.inputs:
             self.ensure_net(net_name).sinks.append(cell.name)
         if cell.output is not None:
@@ -152,34 +140,15 @@ class Netlist:
         :meth:`ensure_net` use), so making it costs O(cells + nets) of
         pointer copies and editing it O(edit).  ``self`` never changes.
         """
-        duplicate = Netlist(name or self.name)
-        duplicate.cells = dict(self.cells)
-        duplicate.nets = dict(self.nets)
-        duplicate.inputs = list(self.inputs)
-        duplicate.outputs = list(self.outputs)
-        duplicate._owned_cells = set()
-        duplicate._owned_nets = set()
-        return duplicate
+        return _EditCopy(self, name)
 
     def writable_cell(self, name: str) -> Cell:
-        """Cell ``name``, cloned first if still shared with the source
-        of an :meth:`edit_copy`."""
-        cell = self.cells[name]
-        owned = self._owned_cells
-        if owned is not None and name not in owned:
-            cell = self.cells[name] = _clone_cell(cell)
-            owned.add(name)
-        return cell
+        """Cell ``name``, ready to be changed in place."""
+        return self.cells[name]
 
     def writable_net(self, name: str) -> Net:
-        """Net ``name``, cloned first if still shared with the source of
-        an :meth:`edit_copy`."""
-        net = self.nets[name]
-        owned = self._owned_nets
-        if owned is not None and name not in owned:
-            net = self.nets[name] = _clone_net(net)
-            owned.add(name)
-        return net
+        """Net ``name``, ready to be changed in place."""
+        return self.nets[name]
 
     def apply_delta(self, delta) -> "Netlist":
         """The netlist with an ECO :class:`~repro.fabric.eco.NetlistDelta`
@@ -235,3 +204,43 @@ class Netlist:
         """
         from ..analysis.passes.netlist import error_messages
         return error_messages(self)
+
+
+class _EditCopy(Netlist):
+    """A :meth:`Netlist.edit_copy`: shares its source's cells and nets
+    and clones one the first time it is written."""
+
+    def __init__(self, source: Netlist, name: Optional[str]) -> None:
+        super().__init__(name or source.name)
+        self.cells = dict(source.cells)
+        self.nets = dict(source.nets)
+        self.inputs = list(source.inputs)
+        self.outputs = list(source.outputs)
+        # The cells and nets cloned away from (or never in) the source.
+        self._owned_cells: Set[str] = set()
+        self._owned_nets: Set[str] = set()
+
+    def ensure_net(self, name: str) -> Net:
+        if name in self.nets:
+            return self.writable_net(name)
+        self._owned_nets.add(name)
+        return super().ensure_net(name)
+
+    def add_cell(self, cell: Cell) -> Cell:
+        if cell.name not in self.cells:
+            self._owned_cells.add(cell.name)
+        return super().add_cell(cell)
+
+    def writable_cell(self, name: str) -> Cell:
+        cell = self.cells[name]
+        if name not in self._owned_cells:
+            cell = self.cells[name] = _clone_cell(cell)
+            self._owned_cells.add(name)
+        return cell
+
+    def writable_net(self, name: str) -> Net:
+        net = self.nets[name]
+        if name not in self._owned_nets:
+            net = self.nets[name] = _clone_net(net)
+            self._owned_nets.add(name)
+        return net
