@@ -67,8 +67,8 @@ from ..cache import content_key
 from ..telemetry import Tracer
 from .bitstream import Bitstream, generate_bitstream, patch_bitstream
 from .device import Device
-from .netlist import BRAM, CARRY, CELL_KINDS, DFF, DSP, LUT4, Cell, Net, \
-    Netlist, NetlistError
+from .netlist import CELL_KINDS, LUT4, STAT_OF_KIND, Cell, Net, Netlist, \
+    NetlistError
 from .nxmap import FlowError, FlowReport, NXmapProject
 from .placement import PlacementResult, _anneal, _emit_counters, _Grid, \
     _IncrementalHpwl, _net_pins, _SiteManager, total_hpwl
@@ -698,10 +698,6 @@ def _nets_in_order(netlist: Netlist, cells: Set[str],
 # -- the per-base state ----------------------------------------------------
 
 
-_STAT_OF_KIND = {LUT4: "luts", CARRY: "luts", DFF: "ffs", DSP: "dsps",
-                 BRAM: "brams"}
-
-
 def _tail(netlist: Netlist, impact: DeltaImpact) -> List[str]:
     """The cells the delta added, in netlist order.
 
@@ -920,8 +916,8 @@ class _EcoBase:
         for name in impact.removed | impact.added:
             for cell, step in ((self.netlist.cells.get(name), -1),
                                (netlist.cells.get(name), 1)):
-                if cell is not None and cell.kind in _STAT_OF_KIND:
-                    stats[_STAT_OF_KIND[cell.kind]] += step
+                if cell is not None and cell.kind in STAT_OF_KIND:
+                    stats[STAT_OF_KIND[cell.kind]] += step
         stats["nets"] = len(netlist.nets)
         stats["cells"] = len(netlist.cells)
         if not device.fits(stats["luts"], stats["ffs"], stats["dsps"],
@@ -984,7 +980,7 @@ class _EcoBase:
                      if name not in gone and locations.get(name) == tile}
             names |= arrivals.get(tile, set())
             tiles[tile] = [netlist.cells[name] for name in sorted(
-                names, key=lambda name: position.get(name)
+                names, key=lambda name: position[name]
                 if name in position else self.order[name])]
         return tiles
 
@@ -1235,7 +1231,7 @@ class EcoFlow:
                 project._eco_base = _EcoBase(project, self._base_state)
         return self._base_state
 
-    def _base(self, base_state: StaState) -> _EcoBase:
+    def _implementation(self, base_state: StaState) -> _EcoBase:
         """The project's per-base state for ``base_state``."""
         project = self.project
         base = project._eco_base
@@ -1253,7 +1249,7 @@ class EcoFlow:
         with self._span("eco", ops=len(self.delta.ops)):
             base_state = self.prepare_base(effort=effort,
                                            channel_width=channel_width)
-            base = self._base(base_state)
+            base = self._implementation(base_state)
             base_place = project.placement
             base_route = project.routing
 

@@ -20,6 +20,10 @@ CELL_KINDS = {LUT4, DFF, DSP, BRAM, IOB, CARRY}
 # How many fabric placement sites each cell kind consumes.
 _SEQUENTIAL = {DFF, DSP, BRAM}
 
+#: The :meth:`Netlist.stats` resource count each cell kind adds to.
+STAT_OF_KIND = {LUT4: "luts", CARRY: "luts", DFF: "ffs", DSP: "dsps",
+                BRAM: "brams"}
+
 
 class NetlistError(Exception):
     pass
@@ -181,14 +185,14 @@ class Netlist:
         return self.count(BRAM)
 
     def stats(self) -> Dict[str, int]:
-        return {
-            "luts": self.lut_count,
-            "ffs": self.ff_count,
-            "dsps": self.dsp_count,
-            "brams": self.bram_count,
-            "nets": len(self.nets),
-            "cells": len(self.cells),
-        }
+        stats = {"luts": 0, "ffs": 0, "dsps": 0, "brams": 0}
+        for cell in self.cells.values():
+            key = STAT_OF_KIND.get(cell.kind)
+            if key is not None:
+                stats[key] += 1
+        stats["nets"] = len(self.nets)
+        stats["cells"] = len(self.cells)
+        return stats
 
     def combinational_cells(self) -> List[Cell]:
         return [c for c in self.cells.values() if not c.is_sequential]

@@ -45,7 +45,7 @@ from repro.fabric import (
     synthesize_component,
     synthesize_random,
 )
-from repro.fabric.netlist import DFF, LUT4
+from repro.fabric.netlist import LUT4
 from repro.fabric.routing import _usage_of_paths
 
 

@@ -187,7 +187,8 @@ def check_edit(project, delta):
     if edited is None:
         return
     flow = EcoFlow(project, delta)
-    base = flow._base(flow.prepare_base(effort=0.3, channel_width=8))
+    base = flow._implementation(flow.prepare_base(effort=0.3,
+                                                  channel_width=8))
     expected = expected_verdict(edited, project.device)
     result, verdict = outcome(lambda: base.check(edited, impact,
                                                  project.device))
