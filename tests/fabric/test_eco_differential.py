@@ -19,8 +19,8 @@ replaces:
   patched bitstream against ``generate_bitstream`` (frames, CRCs,
   essential set, golden copy).
 
-Shrunk counterexamples live on as the fixed regression tests at the
-bottom.
+Shrunk counterexamples live on as fixed ``@example`` cases of the
+random test.
 """
 
 import json
